@@ -346,7 +346,7 @@ let bench_tests () =
     {
       Callout.typing = Ctyping.empty;
       node = Some pattern_node;
-      annots = Hashtbl.create 1;
+      annots = (fun _ -> []);
     }
   in
   let zdata = List.init 50 (fun i -> (Printf.sprintf "rule%d" i, i * 3, 100 - i)) in

@@ -740,7 +740,8 @@ let do_emit files outdir use_cpp defines incdirs jobs cache_dir no_cache_persist
   set_ast_cache ~cache_dir ~persist:(not no_cache_persist);
   (* Pass-1 per-file emission is embarrassingly parallel: each task
      preprocesses, parses and writes one file; messages are printed in
-     input order afterwards so the output is scheduling-independent.
+     input order afterwards so the output is scheduling-independent, and
+     when several files fail the lowest-index failure is the one raised.
      Output names come from emit_targets, which keeps the plain basename
      unless two inputs share it (a/util.c and b/util.c used to silently
      overwrite each other) and errors on residual collisions. *)
@@ -750,14 +751,16 @@ let do_emit files outdir use_cpp defines incdirs jobs cache_dir no_cache_persist
       Format.eprintf "%s@." msg;
       exit 2
   in
-  let outputs =
-    Pool.run ~jobs:(effective_jobs jobs) (Array.length targets) (fun i ->
+  let results, _ =
+    Pool.run_sched ~jobs:(effective_jobs jobs) (Array.length targets)
+      (fun ~worker:_ i ->
         let f, base = targets.(i) in
         let tu = load_tunit f in
         let out = Filename.concat outdir base in
         Cast_io.emit_file out tu;
         out)
   in
+  let outputs = Array.map (function Ok out -> out | Error e -> raise e) results in
   Array.iteri
     (fun i out -> Format.printf "%s -> %s@." (fst targets.(i)) out)
     outputs

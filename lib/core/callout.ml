@@ -9,7 +9,7 @@ type value =
 type ctx = {
   typing : Ctyping.env;
   node : Cast.expr option;
-  annots : (int, string list) Hashtbl.t;
+  annots : int -> string list;
 }
 
 type fn = ctx -> value list -> value
@@ -86,16 +86,11 @@ let install_builtins () =
         match args with
         | [ Vast e; Vstr tag ] ->
             Vbool
-              (match Hashtbl.find_opt ctx.annots e.eid with
-              | Some tags -> List.mem tag tags
-              | None -> false)
+              (List.mem tag (ctx.annots e.eid))
         | [ Vstr tag ] ->
             Vbool
               (match ctx.node with
-              | Some n -> (
-                  match Hashtbl.find_opt ctx.annots n.eid with
-                  | Some tags -> List.mem tag tags
-                  | None -> false)
+              | Some n -> List.mem tag (ctx.annots n.eid)
               | None -> false)
         | _ -> Vbool false);
     register "mc_derefs" (fun _ctx args ->

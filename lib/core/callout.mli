@@ -20,7 +20,9 @@ type value =
 type ctx = {
   typing : Ctyping.env;
   node : Cast.expr option;  (** the current program point, [mc_stmt] *)
-  annots : (int, string list) Hashtbl.t;  (** AST annotations, for composition *)
+  annots : int -> string list;
+      (** the tags previously-run extensions (and this one, so far) left on
+          the node with the given id, newest first — composition *)
 }
 
 type fn = ctx -> value list -> value

@@ -168,8 +168,9 @@ type pub = {
   p_reports : Report.t list;  (* emission order *)
   p_counters : (string * int * int) list;  (* sorted by rule *)
   p_annots : (int * string list) list;
-      (* per node id, the tags the unit added beyond the extension-base
-         table, oldest first; node ids are stable in-process *)
+      (* per node id, the tags the unit's scratch context wrote (its own
+         layer over the extension base), oldest first; node ids are stable
+         in-process *)
   p_traversed : string list;
   p_deps : string list;
       (* keys of shared units this unit itself demanded (transitively):
@@ -182,10 +183,6 @@ type pub = {
 type shared_ctx = {
   sh_tbl : pub Shared_sums.t;
   sh_heights : string -> int option;  (* Callgraph.acyclic_heights *)
-  sh_base_annots : (int, string list) Hashtbl.t;
-      (* the annotation table as of the start of this extension (earlier
-         extensions' tags): read-only while the pool runs; scratch
-         contexts seed from it and publications record deltas against it *)
 }
 
 (* Alias of the flat table's event type, so [events_of_block] can return
@@ -204,7 +201,7 @@ type ev = Flat.ev =
    permanent as before. *)
 type undo =
   | U_annot of int * string list option
-      (* eid, pre-root tags ([None] = eid was absent) *)
+      (* eid, pre-root own tags ([None] = eid was absent) *)
   | U_mark of (string, unit) Hashtbl.t * string
       (* insertion of a fresh key into a unit table
          (traversed / demanded) *)
@@ -228,7 +225,16 @@ type rctx = {
          within this context's domain (like [ids]) *)
   collector : Report.collector;
   counters : (string, int * int) Hashtbl.t;
+  annot_base : (int, string list) Hashtbl.t;
+      (* the extension's base annotations (tags earlier extensions left),
+         read-only: empty for the run's own context, the run context's
+         table for per-root and scratch contexts — shared, never copied *)
   annots : (int, string list) Hashtbl.t;
+      (* the tags this context added over [annot_base], newest first per
+         node: exactly the delta the root-order merge, stored root entries
+         and shared-unit publications consume *)
+  annot_tags : int -> string list;
+      (* both layers' tags on a node, newest first ([Callout.ctx.annots]) *)
   annots_done : Bytes.t;
       (* per flat block id: terminator annotations ([mc_branch]/[mc_return])
          already laid down in this context — the flat events path applies
@@ -245,7 +251,7 @@ type rctx = {
          [p_deps]); the merge folds a publication's counters and stats in
          exactly once iff some surviving root demanded it, which is the
          set of units a sequential run would have paid for *)
-  mutable shared : shared_ctx option;  (* None outside the parallel scheduler *)
+  shared : shared_ctx option;  (* Some only in a pipeline run that shares units *)
   st : stats;
   mutable cur_ext : Sm.t;
   mutable dsp : Dispatch.t;  (* compiled form of cur_ext, kept in lockstep *)
@@ -352,6 +358,55 @@ let charge_pub rctx (p : pub) =
               rctx.opts.max_nodes_per_root))
   end
 
+(* The one context constructor. [ids] and [store0] carry unsynchronised
+   side tables, so only a context that runs synchronously on its
+   creator's domain (a shared unit's or canonical digest's scratch)
+   passes its creator's. [annot_base] is read, never written. *)
+let make_rctx ?ids ?store0 ?(annot_base = Hashtbl.create 1) ?shared ~options ~ext
+    ~dsp sg =
+  let strings = not options.state_ids in
+  let annots = Hashtbl.create 16 in
+  (* own tags first, then the base's: the order one table with prepended
+     tags would hold *)
+  let annot_tags eid =
+    match (Hashtbl.find_opt annots eid, Hashtbl.find_opt annot_base eid) with
+    | None, None -> []
+    | Some t, None | None, Some t -> t
+    | Some own, Some base -> own @ base
+  in
+  {
+    sg;
+    opts = options;
+    ids =
+      (match ids with
+      | Some ids -> ids
+      | None -> Exprid.make_ctx ~strings sg.Supergraph.ids);
+    intern = Intern.create ~strings ~n_exprs:(Exprid.n sg.Supergraph.ids) ();
+    store0 = (match store0 with Some s -> s | None -> Store.create ());
+    collector = Report.new_collector ();
+    counters = Hashtbl.create 16;
+    annot_base;
+    annots;
+    annot_tags;
+    annots_done = Bytes.make (max 1 sg.Supergraph.flat.Flat.n_blocks) '\000';
+    fsums = Hashtbl.create 16;
+    events_cache = Hashtbl.create 64;
+    dedup = Hashtbl.create 16;
+    traversed = Hashtbl.create 16;
+    demanded = Hashtbl.create 8;
+    shared;
+    st = new_stats ();
+    cur_ext = ext;
+    dsp;
+    fuel = max_int;
+    deadline = 0.;
+    poll = budget_poll;
+    degraded_roots = [];
+    node_matched = false;
+    journal = [];
+    journaling = false;
+  }
+
 let get_fsum rctx (cfg : Cfg.t) =
   match Hashtbl.find_opt rctx.fsums cfg.fname with
   | Some s -> s
@@ -370,7 +425,7 @@ let get_fsum rctx (cfg : Cfg.t) =
 
 (* Content-level union of one function's summary tables: edges and src
    keys are re-added through [dst]'s interner, so tables from different
-   contexts (worker write-back merge, shared-unit replay) combine no
+   contexts (shared-unit replay, canonical-digest seeding) combine no
    matter whose interner produced them. *)
 let merge_fsum_into (dst : fsum) (src : fsum) =
   let union (d : Summary.t option array) (s : Summary.t option array) =
@@ -416,18 +471,26 @@ let make_fctx rctx ~depth ~stack (cfg : Cfg.t) =
 (* Events of a block (memoised: trees keep stable eids across visits)  *)
 (* ------------------------------------------------------------------ *)
 
-let annotate_node rctx (e : Cast.expr) tag =
-  let prev = Hashtbl.find_opt rctx.annots e.eid in
-  let tags = Option.value prev ~default:[] in
-  if not (List.mem tag tags) then begin
-    j_push rctx (U_annot (e.eid, prev));
-    Hashtbl.replace rctx.annots e.eid (tag :: tags)
+let tags_mem tbl eid tag =
+  match Hashtbl.find_opt tbl eid with Some tags -> List.mem tag tags | None -> false
+
+(* Probed on every node visit (the kill-path check), so it allocates
+   nothing and skips the base when there is none (sequential runs). *)
+let annotated rctx eid tag =
+  tags_mem rctx.annots eid tag
+  || (Hashtbl.length rctx.annot_base > 0 && tags_mem rctx.annot_base eid tag)
+
+let annotate rctx eid tag =
+  if not (annotated rctx eid tag) then begin
+    let prev = Hashtbl.find_opt rctx.annots eid in
+    j_push rctx (U_annot (eid, prev));
+    Hashtbl.replace rctx.annots eid (tag :: Option.value prev ~default:[])
   end
 
 (* Flat mode returns the supergraph's prebuilt global event arrays (no
    per-context list building at all) and lays the terminator annotations
    down on the block's first visit in this context, tracked by the
-   [annots_done] bitset (idempotent anyway — [annotate_node] dedups — but
+   [annots_done] bitset (idempotent anyway — [annotate] dedups — but
    the bitset keeps repeat visits allocation- and probe-free). Boxed mode
    rebuilds per-context event arrays exactly as before, annotating at
    build time; it exists as the A/B baseline ([--no-flat]) and its
@@ -440,7 +503,7 @@ let events_of_block rctx fctx (block : Block.t) =
       j_push rctx (U_adone fb);
       Bytes.set rctx.annots_done fb '\001';
       Array.iter
-        (fun (e, tag) -> annotate_node rctx e tag)
+        (fun ((e : Cast.expr), tag) -> annotate rctx e.eid tag)
         (Flat.annots flat fb)
     end;
     Flat.events flat fb
@@ -467,13 +530,13 @@ let events_of_block rctx fctx (block : Block.t) =
         let term_evs =
           match block.term with
           | Block.Branch (c, _, _) ->
-              annotate_node rctx c "mc_branch";
+              annotate rctx c.eid "mc_branch";
               List.map (fun n -> Ev_node n) (Cast.exec_order c)
           | Block.Switch (e, _) ->
-              annotate_node rctx e "mc_branch";
+              annotate rctx e.eid "mc_branch";
               List.map (fun n -> Ev_node n) (Cast.exec_order e)
           | Block.Return (Some e) ->
-              annotate_node rctx e "mc_return";
+              annotate rctx e.eid "mc_return";
               List.map (fun n -> Ev_node n) (Cast.exec_order e)
           | Block.Jump _ | Block.Return None | Block.Exit -> []
         in
@@ -491,11 +554,6 @@ let bump_counter rctx which rule =
   let e, c = match which with `Example -> (e + 1, c) | `Counterexample -> (e, c + 1) in
   j_push rctx (U_counter (rule, prev));
   Hashtbl.replace rctx.counters rule (e, c)
-
-let node_annotated rctx (e : Cast.expr) tag =
-  match Hashtbl.find_opt rctx.annots e.eid with
-  | Some tags -> List.mem tag tags
-  | None -> false
 
 let kill_path_tag = "mc_kill_path"
 
@@ -529,13 +587,13 @@ let emit_report rctx fctx ~node ~inst ?(annotations = []) ?rule ?var msg =
   let annotations =
     match node with
     | Some (n : Cast.expr) -> (
-        match Hashtbl.find_opt rctx.annots n.eid with
-        | Some tags ->
+        match rctx.annot_tags n.eid with
+        | [] -> annotations
+        | tags ->
             annotations
             @ List.filter
                 (fun t -> List.mem t severity_tags && not (List.mem t annotations))
-                tags
-        | None -> annotations)
+                tags)
     | None -> annotations
   in
   let r =
@@ -569,7 +627,7 @@ let make_actx rctx fctx walk ~node ~bindings ~inst : Sm.actx =
       (fun ?annotations ?rule ?var msg ->
         emit_report rctx fctx ~node ~inst ?annotations ?rule ?var msg);
     a_count = (fun which rule -> bump_counter rctx which rule);
-    a_annotate = (fun e tag -> annotate_node rctx e tag);
+    a_annotate = (fun e tag -> annotate rctx e.eid tag);
     a_kill_path = (fun () -> walk.sm.killed_path <- true);
   }
 
@@ -683,7 +741,7 @@ let apply_dest rctx fctx walk ~(node : Cast.expr option) ~bindings
 (* ------------------------------------------------------------------ *)
 
 let callout_ctx rctx fctx node =
-  { Callout.typing = fctx.typing; node; annots = rctx.annots }
+  { Callout.typing = fctx.typing; node; annots = rctx.annot_tags }
 
 (* Apply the extension at a program point. Returns (any pattern matched,
    updated walk). Semantics:
@@ -1846,7 +1904,7 @@ and process_events rctx fctx ~live (evs : ev array) (i : int) walk
     | Ev_node node ->
         rctx.st.nodes_visited <- rctx.st.nodes_visited + 1;
         charge_budget rctx;
-        if node_annotated rctx node kill_path_tag then begin
+        if annotated rctx node.eid kill_path_tag then begin
           walk.sm.killed_path <- true;
           k walk
         end
@@ -2033,39 +2091,13 @@ and shared_call rctx fctx (setup : call_setup) fname (callee_cfg : Cfg.t) : bool
         | _ -> false)
 
 and compute_pub sh rctx fname (callee_cfg : Cfg.t) gstate : pub =
+  (* same domain, synchronous: sharing the demander's id resolver keeps
+     one overflow id per distinct synthesized key per worker; the compiled
+     dispatch is immutable, shared read-only *)
   let scratch =
-    {
-      sg = rctx.sg;
-      opts = rctx.opts;
-      (* same domain, synchronous: sharing the demander's id resolver keeps
-         one overflow id per distinct synthesized key per worker *)
-      ids = rctx.ids;
-      intern =
-        Intern.create
-          ~strings:(not rctx.opts.state_ids)
-          ~n_exprs:(Exprid.n rctx.sg.Supergraph.ids) ();
-      store0 = rctx.store0;
-      collector = Report.new_collector ();
-      counters = Hashtbl.create 16;
-      annots = Hashtbl.copy sh.sh_base_annots;
-      annots_done = Bytes.make rctx.sg.Supergraph.flat.Flat.n_blocks '\000';
-      fsums = Hashtbl.create 16;
-      events_cache = Hashtbl.create 64;
-      dedup = Hashtbl.create 16;
-      traversed = Hashtbl.create 16;
-      demanded = Hashtbl.create 8;
-      shared = Some sh;  (* nested pure callees share recursively *)
-      st = new_stats ();
-      cur_ext = rctx.cur_ext;
-      dsp = rctx.dsp;  (* compiled dispatch is immutable, shared read-only *)
-      fuel = max_int;
-      deadline = 0.;
-      poll = budget_poll;
-      degraded_roots = [];
-      node_matched = false;
-      journal = [];
-      journaling = false;
-    }
+    make_rctx ~ids:rctx.ids ~store0:rctx.store0 ~annot_base:rctx.annot_base
+      ~shared:sh (* nested pure callees share recursively *)
+      ~options:rctx.opts ~ext:rctx.cur_ext ~dsp:rctx.dsp rctx.sg
   in
   reset_budget scratch;
   let callee_fctx = make_fctx scratch ~depth:0 ~stack:[ fname ] callee_cfg in
@@ -2083,24 +2115,7 @@ and compute_pub sh rctx fname (callee_cfg : Cfg.t) gstate : pub =
     p_fsums = sorted_fold scratch.fsums (fun f s -> (f, s));
     p_reports = Report.reports scratch.collector;
     p_counters = sorted_fold scratch.counters (fun rule (e, c) -> (rule, e, c));
-    p_annots =
-      (* the tags the unit added beyond the extension base, oldest first
-         (annotate_node prepends, so fresh tags are the list's prefix) *)
-      List.sort compare
-        (Hashtbl.fold
-           (fun eid tags acc ->
-             let fresh_n =
-               List.length tags
-               - List.length
-                   (Option.value
-                      (Hashtbl.find_opt sh.sh_base_annots eid)
-                      ~default:[])
-             in
-             if fresh_n <= 0 then acc
-             else
-               (eid, List.rev (List.filteri (fun i _ -> i < fresh_n) tags))
-               :: acc)
-           scratch.annots []);
+    p_annots = sorted_fold scratch.annots (fun eid tags -> (eid, List.rev tags));
     p_traversed = sorted_fold scratch.traversed (fun f () -> f);
     p_deps = sorted_fold scratch.demanded (fun k () -> k);
     p_stats = scratch.st;
@@ -2124,21 +2139,7 @@ and replay_pub rctx (p : pub) : unit =
       end)
     p.p_reports;
   List.iter
-    (fun (eid, tags) ->
-      let prev = Hashtbl.find_opt rctx.annots eid in
-      let cur = ref (Option.value prev ~default:[]) in
-      let changed = ref false in
-      List.iter
-        (fun t ->
-          if not (List.mem t !cur) then begin
-            cur := t :: !cur;
-            changed := true
-          end)
-        tags;
-      if !changed then begin
-        j_push rctx (U_annot (eid, prev));
-        Hashtbl.replace rctx.annots eid !cur
-      end)
+    (fun (eid, tags) -> List.iter (annotate rctx eid) tags)
     p.p_annots;
   List.iter
     (fun f ->
@@ -2387,44 +2388,9 @@ let run_extension rctx (ext : Sm.t) =
         (String.concat ", " roots));
   List.iter (run_root_contained rctx ext) roots
 
-(* Worker contexts start on an already-compiled extension: eager dispatch
-   compilation is per-extension work, and the compiled form is immutable,
-   so one compile (in the base context) serves every per-root context. *)
-let new_rctx_in ?(options = default_options) ~ext ~dsp sg =
-  {
-    sg;
-    opts = options;
-    ids = Exprid.make_ctx ~strings:(not options.state_ids) sg.Supergraph.ids;
-    intern =
-      Intern.create
-        ~strings:(not options.state_ids)
-        ~n_exprs:(Exprid.n sg.Supergraph.ids) ();
-    store0 = Store.create ();
-    collector = Report.new_collector ();
-    counters = Hashtbl.create 16;
-    annots = Hashtbl.create 64;
-    annots_done = Bytes.make (max 1 sg.Supergraph.flat.Flat.n_blocks) '\000';
-    fsums = Hashtbl.create 64;
-    events_cache = Hashtbl.create 256;
-    dedup = Hashtbl.create 64;
-    traversed = Hashtbl.create 64;
-    demanded = Hashtbl.create 16;
-    shared = None;
-    st = new_stats ();
-    cur_ext = ext;
-    dsp;
-    fuel = max_int;
-    deadline = 0.;
-    poll = budget_poll;
-    degraded_roots = [];
-    node_matched = false;
-    journal = [];
-    journaling = false;
-  }
-
 let new_rctx ?(options = default_options) sg =
   let none = Sm.make ~name:"<none>" [] in
-  new_rctx_in ~options ~ext:none
+  make_rctx ~options ~ext:none
     ~dsp:(Dispatch.compile ~indexed:options.dispatch ~sg none)
     sg
 
@@ -2445,245 +2411,8 @@ let collect_result rctx =
   }
 
 (* ------------------------------------------------------------------ *)
-(* Domain-parallel execution                                           *)
+(* Stored root entries: stat lists and positional annotation deltas     *)
 (* ------------------------------------------------------------------ *)
-
-(* Per-root traversals are independent monotone computations over the
-   shared, immutable supergraph — the only cross-root coupling in the
-   sequential engine is through caches (function summaries, block src
-   tuples, report dedup) that trade repeated work for nothing observable.
-   So the parallel mode gives every root task a private [rctx] (collector,
-   counters, stats, fsums, events cache, dedup) and folds the results back
-   in root order, which makes the output independent of how the pool
-   schedules roots onto domains. *)
-
-(* Fold a worker's annotation table into [base], preserving each node's
-   tag insertion order (annotate_node prepends). *)
-let merge_annots base worker =
-  Hashtbl.iter
-    (fun eid tags ->
-      let cur = Option.value (Hashtbl.find_opt base eid) ~default:[] in
-      let cur =
-        List.fold_left
-          (fun cur tag -> if List.mem tag cur then cur else tag :: cur)
-          cur (List.rev tags)
-      in
-      Hashtbl.replace base eid cur)
-    worker
-
-let add_stats (acc : stats) (s : stats) =
-  acc.blocks_visited <- acc.blocks_visited + s.blocks_visited;
-  acc.nodes_visited <- acc.nodes_visited + s.nodes_visited;
-  acc.cache_hits <- acc.cache_hits + s.cache_hits;
-  acc.paths_explored <- acc.paths_explored + s.paths_explored;
-  acc.calls_followed <- acc.calls_followed + s.calls_followed;
-  acc.summary_hits <- acc.summary_hits + s.summary_hits;
-  acc.pruned_branches <- acc.pruned_branches + s.pruned_branches;
-  acc.transitions_fired <- acc.transitions_fired + s.transitions_fired;
-  acc.instances_created <- acc.instances_created + s.instances_created;
-  acc.cache_probes <- acc.cache_probes + s.cache_probes;
-  acc.intern_atoms <- acc.intern_atoms + s.intern_atoms;
-  acc.intern_tuples <- acc.intern_tuples + s.intern_tuples;
-  acc.match_attempts <- acc.match_attempts + s.match_attempts;
-  acc.index_hits <- acc.index_hits + s.index_hits;
-  acc.blocks_skipped <- acc.blocks_skipped + s.blocks_skipped;
-  acc.shared_published <- acc.shared_published + s.shared_published;
-  acc.shared_replayed <- acc.shared_replayed + s.shared_replayed;
-  acc.shared_recomputed <- acc.shared_recomputed + s.shared_recomputed;
-  acc.sched_steals <- acc.sched_steals + s.sched_steals;
-  acc.sched_waits <- acc.sched_waits + s.sched_waits
-
-(* Stamp a worker context's intern-table sizes into its stats so the
-   root-order merge can fold them like any other counter. *)
-let seal_worker_stats (w : rctx) =
-  w.st.intern_atoms <- Intern.n_atoms w.intern;
-  w.st.intern_tuples <- Intern.n_tuples w.intern
-
-(* Parallel execution is a work-stealing schedule over individual roots.
-   Each root runs in a private context (fresh collector, counters, stats,
-   summaries, events cache, dedup) seeded from the base annotation table,
-   so its output is independent of which domain ran it and of every other
-   root — the merge below, in root order, is therefore byte-identical at
-   any [-j]. What the old static chunking could NOT avoid — a hot callee
-   re-analysed once per chunk that demands it — is handled by a shared
-   publish-once store: pure-entry callee units are computed exactly once
-   fleet-wide in scratch contexts and replayed into each demanding root
-   (see [shared_call]). Sharing needs [caching] on and per-root timeouts
-   off (a wall-clock deadline is timing-dependent, so which unit blows it
-   is not reproducible). Node budgets are compatible: a replayed unit is
-   charged to the demanding root's fuel — its own work plus its
-   not-yet-demanded transitive deps — exactly the units a private
-   traversal would have charged, and a unit whose own traversal blows the
-   scratch budget aborts its claim and degrades the demanding root with
-   the same reason (see [shared_call]/[charge_pub]). *)
-let run_extension_parallel ~jobs base (ext : Sm.t) =
-  set_extension base ext;
-  let roots = Array.of_list (Supergraph.roots base.sg) in
-  let n = Array.length roots in
-  let heights = Callgraph.acyclic_heights base.sg.Supergraph.callgraph in
-  (* bottom-up schedule: shallow roots first, so short shared callees are
-     published before the tall callers that would otherwise all compute
-     them; ties (and cyclic-closure roots, scheduled last) in root order *)
-  let height_of i =
-    match heights roots.(i) with Some h -> h | None -> max_int
-  in
-  let order = Array.init n Fun.id in
-  Array.sort (fun a b -> compare (height_of a, a) (height_of b, b)) order;
-  let sharing = base.opts.caching && base.opts.timeout_per_root = 0. in
-  let sh =
-    if sharing then
-      Some
-        {
-          sh_tbl = Shared_sums.create ();
-          sh_heights = heights;
-          sh_base_annots = base.annots;
-        }
-    else None
-  in
-  Log.debug (fun m ->
-      m "running extension %s over %d roots on %d domains (sharing %b)"
-        ext.Sm.sm_name n jobs sharing);
-  (* [base] is read-only while the pool runs. *)
-  let tasks, sched =
-    Pool.run_sched ~jobs ~order n (fun ~worker:_ i ->
-        let rctx = new_rctx_in ~options:base.opts ~ext ~dsp:base.dsp base.sg in
-        rctx.shared <- sh;
-        Hashtbl.iter (fun k v -> Hashtbl.replace rctx.annots k v) base.annots;
-        run_root_contained rctx ext roots.(i);
-        (* summaries and block events are per-root scratch state; the
-           merge reads only deltas, so release them with the task *)
-        Hashtbl.reset rctx.fsums;
-        Hashtbl.reset rctx.events_cache;
-        seal_worker_stats rctx;
-        rctx)
-  in
-  (* Deterministic merge, in root order. The dedup table is fresh per
-     extension rather than shared across extensions the way one mutable
-     table is in the sequential path — report identity keys embed the
-     checker name, so the observable result is the same and no mutable
-     state leaks between extension runs. *)
-  let dedup : (string, unit) Hashtbl.t = Hashtbl.create 64 in
-  let demanded : (string, unit) Hashtbl.t = Hashtbl.create 64 in
-  Array.iteri
-    (fun i task ->
-      match task with
-      | Ok (w : rctx) ->
-          List.iter
-            (fun r ->
-              let key = report_key r in
-              if not (Hashtbl.mem dedup key) then begin
-                Hashtbl.replace dedup key ();
-                Report.emit base.collector r
-              end)
-            (Report.reports w.collector);
-          Hashtbl.iter
-            (fun rule (e, c) ->
-              let e0, c0 =
-                Option.value (Hashtbl.find_opt base.counters rule) ~default:(0, 0)
-              in
-              Hashtbl.replace base.counters rule (e0 + e, c0 + c))
-            w.counters;
-          merge_annots base.annots w.annots;
-          Hashtbl.iter (fun f () -> Hashtbl.replace base.traversed f ()) w.traversed;
-          Hashtbl.iter (fun k () -> Hashtbl.replace demanded k ()) w.demanded;
-          add_stats base.st w.st;
-          List.iter
-            (fun d -> base.degraded_roots <- d :: base.degraded_roots)
-            (List.rev w.degraded_roots)
-      | Error e ->
-          (* the task failed outside the root boundary (worker setup) —
-             degrade this root, keep the rest *)
-          base.degraded_roots <-
-            {
-              d_root = roots.(i);
-              d_reason = "worker failed: " ^ Printexc.to_string e;
-            }
-            :: base.degraded_roots)
-    tasks;
-  (* Fold each shared unit's accounting in exactly once, in sorted key
-     order — but only units some surviving root demanded. A publication
-     whose every demander was rolled back contributes nothing, exactly as
-     its traversal would have been rolled back sequentially. *)
-  (match sh with
-  | None -> ()
-  | Some sh ->
-      Shared_sums.fold_published sh.sh_tbl
-        (fun key (p : pub) () ->
-          if Hashtbl.mem demanded key then begin
-            List.iter
-              (fun (rule, e, c) ->
-                let e0, c0 =
-                  Option.value
-                    (Hashtbl.find_opt base.counters rule)
-                    ~default:(0, 0)
-                in
-                Hashtbl.replace base.counters rule (e0 + e, c0 + c))
-              p.p_counters;
-            add_stats base.st p.p_stats
-          end)
-        ();
-      let ss = Shared_sums.stats sh.sh_tbl in
-      base.st.shared_published <- base.st.shared_published + ss.Shared_sums.published;
-      base.st.shared_recomputed <-
-        base.st.shared_recomputed + ss.Shared_sums.recomputed;
-      base.st.sched_waits <- base.st.sched_waits + ss.Shared_sums.waits);
-  base.st.sched_steals <- base.st.sched_steals + sched.Pool.stolen
-
-(* ------------------------------------------------------------------ *)
-(* Persistent-cache execution                                          *)
-(* ------------------------------------------------------------------ *)
-
-(* The cached mode reuses the parallel-mode execution model: every root is
-   an independent computation in a private rctx, merged in root order.
-   That equivalence (established for [-j]) is what lets a warm run replay
-   a stored per-root result verbatim — the merge cannot tell a replayed
-   root from a recomputed one. Cached function summaries are deliberately
-   NOT seeded into live output traversals: a seeded summary would take
-   summary hits that suppress exactly the re-traversals that emit reports,
-   so the warm output would stop being byte-identical to the cold run.
-
-   Invalidation is two-level, with early cutoff (the Shake/Salsa
-   discipline). Each function has a persisted entry keyed by a digest of
-   its OWN body, the file-scope declarations, its callees' summary
-   CONTENT hashes, and the annotation state its closure can observe. The
-   content hash digests what the function's analysis actually produces: a
-   canonical traversal from the function's entry under the extension's
-   initial state, recorded as summary tables + reports + counter and
-   annotation deltas. A warm run recomputes edited functions bottom-up
-   (callgraph height order, callees seeded from their canonical tables);
-   when an edit leaves a function's canonical result byte-identical, its
-   content hash is unchanged, so every caller's key — which folds content,
-   not body — still validates and the edit stops propagating right there.
-   Root replay entries key on the content hashes of the root's transitive
-   closure, so a root whose closure absorbed the edit replays verbatim.
-
-   The canonical traversal is a DIGEST, never an output path: reports
-   always come from stored root entries (recorded from real worker runs)
-   or fresh worker runs, which keeps warm output byte-identical by the
-   same argument as before. The cutoff boundary is the standard
-   summary-based trade: the canonical run observes callees from the
-   extension's initial entry state, so a behaviour difference visible
-   only under a caller-specific state that canonical summaries happen to
-   cover can in principle escape the content hash. Any body edit still
-   flips the edited function's own key (body hash), so the edited
-   function itself always recomputes. *)
-
-(* Bump whenever engine or builtin-checker semantics change in a way that
-   can alter analysis output. The digest below is folded into every
-   persistent cache key, so a stamp change orphans results computed by
-   older builds instead of silently replaying them — the store's format
-   version only guards the entry encoding, not what the engine computed. *)
-let analysis_version = "xgcc-analysis-4"
-
-let options_digest (o : options) =
-  (* budgets are part of the digest: a budget-limited run can legitimately
-     produce fewer reports, so its cache entries must not be replayed by
-     an unlimited run (or vice versa). Representation switches ([flatten],
-     [dispatch], [state_ids]) are deliberately absent: they cannot change
-     output, so warm caches replay across those modes *)
-  Printf.sprintf "%s c%b p%b i%b k%b s%b d%d m%d n%d t%g" analysis_version
-    o.caching o.pruning o.interproc o.auto_kill o.synonyms o.max_call_depth
-    o.max_instances o.max_nodes_per_root o.timeout_per_root
 
 let stats_to_list (s : stats) =
   [
@@ -2771,7 +2500,7 @@ let rec iter_exprs_stmt f (s : Cast.stmt) =
    (location, printed, definition) triple, assigned in the deterministic
    index-traversal order below. Replay then targets exactly the node the
    worker annotated, never a positional twin. *)
-let annot_base (loc : Srcloc.t) ~printed ~ctx =
+let annot_pos_key (loc : Srcloc.t) ~printed ~ctx =
   Printf.sprintf "%s:%d:%d|%s|%s" loc.file loc.line loc.col printed ctx
 
 type annot_index = {
@@ -2792,7 +2521,7 @@ let build_annot_index (sg : Supergraph.t) =
   let visit ctx (e : Cast.expr) =
     if not (Hashtbl.mem ix.ai_exprs e.Cast.eid) then begin
       Hashtbl.replace ix.ai_exprs e.Cast.eid e;
-      let base = annot_base e.eloc ~printed:(Cprint.expr_to_string e) ~ctx in
+      let base = annot_pos_key e.eloc ~printed:(Cprint.expr_to_string e) ~ctx in
       let occ = Option.value (Hashtbl.find_opt occs base) ~default:0 in
       Hashtbl.replace occs base (occ + 1);
       Hashtbl.replace ix.ai_pos e.Cast.eid (ctx, occ);
@@ -2811,56 +2540,290 @@ let build_annot_index (sg : Supergraph.t) =
     sg.Supergraph.tunits;
   ix
 
-(* The tags a worker added beyond the base table it was seeded from,
-   oldest-first, attached to the worker's expression node. Tags on nodes
-   absent from the program index (per-rctx synthesised nodes, e.g.
-   declaration initialisers) are dropped — matching parallel mode, where
-   their ids are meaningless to other workers anyway. *)
-let annot_delta ~base ~ix (worker : (int, string list) Hashtbl.t) =
+(* A context's own annotation layer as a positional delta, tags oldest
+   first. Tags on nodes absent from the program index (per-rctx
+   synthesised nodes, e.g. declaration initialisers) are dropped: their
+   ids mean nothing outside the context that made them. *)
+let annot_delta ~ix (own : (int, string list) Hashtbl.t) =
   let deltas =
     Hashtbl.fold
       (fun eid tags acc ->
-        let fresh_n =
-          List.length tags
-          - List.length (Option.value (Hashtbl.find_opt base eid) ~default:[])
-        in
-        if fresh_n <= 0 then acc
-        else
-          match Hashtbl.find_opt ix.ai_exprs eid with
-          | None -> acc
-          | Some e ->
-              let ctx, occ = Hashtbl.find ix.ai_pos eid in
-              let fresh = List.rev (List.filteri (fun i _ -> i < fresh_n) tags) in
-              (e.Cast.eloc, Cprint.expr_to_string e, ctx, occ, fresh) :: acc)
-      worker []
+        match Hashtbl.find_opt ix.ai_exprs eid with
+        | None -> acc
+        | Some e ->
+            let ctx, occ = Hashtbl.find ix.ai_pos eid in
+            (e.Cast.eloc, Cprint.expr_to_string e, ctx, occ, List.rev tags) :: acc)
+      own []
   in
   List.sort
     (fun ((a : Srcloc.t), pa, ca, oa, _) ((b : Srcloc.t), pb, cb, ob, _) ->
       compare (a.file, a.line, a.col, pa, ca, oa) (b.file, b.line, b.col, pb, cb, ob))
     deltas
 
+(* Add [tags] (oldest first) to node [eid], skipping tags it already
+   holds; the table keeps each node's tags newest first. *)
+let add_tags tbl eid tags =
+  let cur = Option.value (Hashtbl.find_opt tbl eid) ~default:[] in
+  Hashtbl.replace tbl eid
+    (List.fold_left (fun cur t -> if List.mem t cur then cur else t :: cur) cur tags)
+
 let inject_annots base ~ix annots =
   List.iter
     (fun ((loc : Srcloc.t), printed, ctx, occ, tags) ->
-      let k = annot_base loc ~printed ~ctx ^ "#" ^ string_of_int occ in
+      let k = annot_pos_key loc ~printed ~ctx ^ "#" ^ string_of_int occ in
       match Hashtbl.find_opt ix.ai_ids k with
       | None -> ()
-      | Some eid ->
-          let cur =
-            ref (Option.value (Hashtbl.find_opt base.annots eid) ~default:[])
-          in
-          List.iter
-            (fun tag -> if not (List.mem tag !cur) then cur := tag :: !cur)
-            tags;
-          Hashtbl.replace base.annots eid !cur)
+      | Some eid -> add_tags base.annots eid tags)
     annots
+
+(* ------------------------------------------------------------------ *)
+(* The per-root pipeline                                               *)
+(* ------------------------------------------------------------------ *)
+
+(* Per-root traversals are independent monotone computations over the
+   shared, immutable supergraph — the only cross-root coupling in the
+   sequential engine is through caches (function summaries, block src
+   tuples, report dedup) that trade repeated work for nothing observable.
+   So the pipeline gives every root a private [rctx] (collector, counters,
+   stats, fsums, events cache, dedup, annotation layer) and folds the
+   results back in root order, which makes the output independent of how
+   the pool schedules roots onto domains — and lets a stored root entry
+   stand in for a computed root, since the merge cannot tell them apart. *)
+
+(* Fold a root's own annotation layer into [base], preserving each node's
+   tag insertion order (annotate prepends). *)
+let merge_annots base worker =
+  Hashtbl.iter (fun eid tags -> add_tags base eid (List.rev tags)) worker
+
+let add_stats (acc : stats) (s : stats) =
+  acc.blocks_visited <- acc.blocks_visited + s.blocks_visited;
+  acc.nodes_visited <- acc.nodes_visited + s.nodes_visited;
+  acc.cache_hits <- acc.cache_hits + s.cache_hits;
+  acc.paths_explored <- acc.paths_explored + s.paths_explored;
+  acc.calls_followed <- acc.calls_followed + s.calls_followed;
+  acc.summary_hits <- acc.summary_hits + s.summary_hits;
+  acc.pruned_branches <- acc.pruned_branches + s.pruned_branches;
+  acc.transitions_fired <- acc.transitions_fired + s.transitions_fired;
+  acc.instances_created <- acc.instances_created + s.instances_created;
+  acc.cache_probes <- acc.cache_probes + s.cache_probes;
+  acc.intern_atoms <- acc.intern_atoms + s.intern_atoms;
+  acc.intern_tuples <- acc.intern_tuples + s.intern_tuples;
+  acc.match_attempts <- acc.match_attempts + s.match_attempts;
+  acc.index_hits <- acc.index_hits + s.index_hits;
+  acc.blocks_skipped <- acc.blocks_skipped + s.blocks_skipped;
+  acc.shared_published <- acc.shared_published + s.shared_published;
+  acc.shared_replayed <- acc.shared_replayed + s.shared_replayed;
+  acc.shared_recomputed <- acc.shared_recomputed + s.shared_recomputed;
+  acc.sched_steals <- acc.sched_steals + s.sched_steals;
+  acc.sched_waits <- acc.sched_waits + s.sched_waits
+
+(* Stamp a worker context's intern-table sizes into its stats so the
+   root-order merge can fold them like any other counter. *)
+let seal_worker_stats (w : rctx) =
+  w.st.intern_atoms <- Intern.n_atoms w.intern;
+  w.st.intern_tuples <- Intern.n_tuples w.intern
+
+(* What the pipeline does with one root of an extension run. *)
+type plan =
+  | Compute  (* analyse it in a private context on the pool *)
+  | Replay of Summary_store.root_entry * annot_index
+      (* merge a stored root entry; its positional annotation delta is
+         resolved against the index *)
+
+(* The one per-root driver behind uncached [-jN], cached [check] at any
+   [-j] and [xgcc serve]. [plans] has one entry per callgraph root, in
+   root order. [Compute] roots run as individual tasks on a work-stealing
+   schedule ({!Pool.run_sched}), bottom-up by callgraph height so short
+   shared callees publish before the tall callers that demand them. Each
+   runs in a private context whose annotation base is [base.annots],
+   read-only while the pool runs and never copied: the context writes only
+   the tags it adds, which is the delta the merge and the store need.
+
+   Every root is then merged in root order — reports re-deduplicated by
+   identity key, counters and stats summed, annotations, traversed
+   functions and degraded notes folded — so the result is byte-identical
+   at any [-j], replayed or recomputed. With [share], pure-entry callee
+   units are computed once fleet-wide and replayed into each demanding
+   root (see [shared_call]); that needs [caching] on and per-root timeouts
+   off (a wall-clock deadline is timing-dependent, so which unit blows it
+   is not reproducible). Node budgets compose with sharing: a replayed
+   unit is charged to the demanding root's fuel exactly as a private
+   traversal would have been (see [charge_pub]).
+
+   Returns the healthy computed roots with their contexts, in root order,
+   for the caller to persist. *)
+let run_roots ~jobs ~heights ~share base (plans : plan array) =
+  let ext = base.cur_ext in
+  let roots = Array.of_list (Supergraph.roots base.sg) in
+  let todo =
+    Array.of_list
+      (List.filter
+         (fun i -> match plans.(i) with Compute -> true | Replay _ -> false)
+         (List.init (Array.length roots) Fun.id))
+  in
+  let n = Array.length todo in
+  (* ties (and cyclic-closure roots, scheduled last) in root order *)
+  let height_of j =
+    match heights roots.(todo.(j)) with Some h -> h | None -> max_int
+  in
+  let order = Array.init n Fun.id in
+  Array.sort (fun a b -> compare (height_of a, a) (height_of b, b)) order;
+  let sh =
+    if share && base.opts.caching && base.opts.timeout_per_root = 0. then
+      Some { sh_tbl = Shared_sums.create (); sh_heights = heights }
+    else None
+  in
+  Log.debug (fun m ->
+      m "running extension %s: %d/%d roots on %d domains (sharing %b)"
+        ext.Sm.sm_name n (Array.length roots) jobs (sh <> None));
+  let tasks, sched =
+    Pool.run_sched ~jobs ~order n (fun ~worker:_ j ->
+        let rctx =
+          make_rctx ~annot_base:base.annots ?shared:sh ~options:base.opts ~ext
+            ~dsp:base.dsp base.sg
+        in
+        run_root_contained rctx ext roots.(todo.(j));
+        (* summaries and block events are per-root scratch state; the
+           merge reads only deltas, so release them with the task *)
+        Hashtbl.reset rctx.fsums;
+        Hashtbl.reset rctx.events_cache;
+        seal_worker_stats rctx;
+        rctx)
+  in
+  (* The dedup table is fresh per extension rather than shared across
+     extensions the way one mutable table is in the sequential path —
+     report identity keys embed the checker name, so the observable result
+     is the same and no mutable state leaks between extension runs. *)
+  let dedup : (string, unit) Hashtbl.t = Hashtbl.create 64 in
+  let emit r =
+    let key = report_key r in
+    if not (Hashtbl.mem dedup key) then begin
+      Hashtbl.replace dedup key ();
+      Report.emit base.collector r
+    end
+  in
+  let add_counter rule e c =
+    let e0, c0 = Option.value (Hashtbl.find_opt base.counters rule) ~default:(0, 0) in
+    Hashtbl.replace base.counters rule (e0 + e, c0 + c)
+  in
+  let degrade d = base.degraded_roots <- d :: base.degraded_roots in
+  let demanded : (string, unit) Hashtbl.t = Hashtbl.create 64 in
+  let next_task = ref 0 in
+  let healthy = ref [] in
+  Array.iteri
+    (fun i root ->
+      match plans.(i) with
+      | Replay ((e : Summary_store.root_entry), ix) ->
+          List.iter emit e.r_reports;
+          List.iter (fun (rule, ex, cx) -> add_counter rule ex cx) e.r_counters;
+          inject_annots base ~ix e.r_annots;
+          List.iter (fun f -> Hashtbl.replace base.traversed f ()) e.r_traversed;
+          add_stats_list base.st e.r_stats
+      | Compute -> (
+          let task = tasks.(!next_task) in
+          incr next_task;
+          match task with
+          | Error e ->
+              (* the task failed outside the root boundary (worker setup) —
+                 degrade this root, keep the rest *)
+              degrade
+                { d_root = root; d_reason = "worker failed: " ^ Printexc.to_string e }
+          | Ok (w : rctx) ->
+              (* a degraded root was rolled back, so its tables are empty
+                 and only its note and stats remain to fold *)
+              List.iter emit (Report.reports w.collector);
+              Hashtbl.iter (fun rule (e, c) -> add_counter rule e c) w.counters;
+              merge_annots base.annots w.annots;
+              Hashtbl.iter (fun f () -> Hashtbl.replace base.traversed f ()) w.traversed;
+              Hashtbl.iter (fun k () -> Hashtbl.replace demanded k ()) w.demanded;
+              add_stats base.st w.st;
+              List.iter degrade (List.rev w.degraded_roots);
+              if w.degraded_roots = [] then healthy := (root, w) :: !healthy))
+    roots;
+  (* Fold each shared unit's accounting in exactly once, in sorted key
+     order — but only units some surviving root demanded. A publication
+     whose every demander was rolled back contributes nothing, exactly as
+     its traversal would have been rolled back sequentially. *)
+  (match sh with
+  | None -> ()
+  | Some sh ->
+      Shared_sums.fold_published sh.sh_tbl
+        (fun key (p : pub) () ->
+          if Hashtbl.mem demanded key then begin
+            List.iter (fun (rule, e, c) -> add_counter rule e c) p.p_counters;
+            add_stats base.st p.p_stats
+          end)
+        ();
+      let ss = Shared_sums.stats sh.sh_tbl in
+      base.st.shared_published <- base.st.shared_published + ss.Shared_sums.published;
+      base.st.shared_recomputed <-
+        base.st.shared_recomputed + ss.Shared_sums.recomputed;
+      base.st.sched_waits <- base.st.sched_waits + ss.Shared_sums.waits);
+  base.st.sched_steals <- base.st.sched_steals + sched.Pool.stolen;
+  List.rev !healthy
+
+(* ------------------------------------------------------------------ *)
+(* Persistent-cache execution                                          *)
+(* ------------------------------------------------------------------ *)
+
+(* The cached mode is the per-root pipeline with a plan from the store:
+   every root is an independent computation in a private rctx, merged in
+   root order by [run_roots]. That equivalence (established for [-j]) is
+   what lets a warm run replay a stored per-root result verbatim — the
+   merge cannot tell a replayed root from a recomputed one. Cached
+   function summaries are deliberately NOT seeded into live output
+   traversals: a seeded summary would take summary hits that suppress
+   exactly the re-traversals that emit reports, so the warm output would
+   stop being byte-identical to the cold run.
+
+   Invalidation is two-level, with early cutoff (the Shake/Salsa
+   discipline). Each function has a persisted entry keyed by a digest of
+   its OWN body, the file-scope declarations, its callees' summary
+   CONTENT hashes, and the annotation state its closure can observe. The
+   content hash digests what the function's analysis actually produces: a
+   canonical traversal from the function's entry under the extension's
+   initial state, recorded as summary tables + reports + counter and
+   annotation deltas. A warm run recomputes edited functions bottom-up
+   (callgraph height order, callees seeded from their canonical tables);
+   when an edit leaves a function's canonical result byte-identical, its
+   content hash is unchanged, so every caller's key — which folds content,
+   not body — still validates and the edit stops propagating right there.
+   Root replay entries key on the content hashes of the root's transitive
+   closure, so a root whose closure absorbed the edit replays verbatim.
+
+   The canonical traversal is a DIGEST, never an output path: reports
+   always come from stored root entries (recorded from real worker runs)
+   or fresh worker runs, which keeps warm output byte-identical by the
+   same argument as before. The cutoff boundary is the standard
+   summary-based trade: the canonical run observes callees from the
+   extension's initial entry state, so a behaviour difference visible
+   only under a caller-specific state that canonical summaries happen to
+   cover can in principle escape the content hash. Any body edit still
+   flips the edited function's own key (body hash), so the edited
+   function itself always recomputes. *)
+
+(* Bump whenever engine or builtin-checker semantics change in a way that
+   can alter analysis output. The digest below is folded into every
+   persistent cache key, so a stamp change orphans results computed by
+   older builds instead of silently replaying them — the store's format
+   version only guards the entry encoding, not what the engine computed. *)
+let analysis_version = "xgcc-analysis-4"
+
+let options_digest (o : options) =
+  (* budgets are part of the digest: a budget-limited run can legitimately
+     produce fewer reports, so its cache entries must not be replayed by
+     an unlimited run (or vice versa). Representation switches ([flatten],
+     [dispatch], [state_ids]) are deliberately absent: they cannot change
+     output, so warm caches replay across those modes *)
+  Printf.sprintf "%s c%b p%b i%b k%b s%b d%d m%d n%d t%g" analysis_version
+    o.caching o.pruning o.interproc o.auto_kill o.synonyms o.max_call_depth
+    o.max_instances o.max_nodes_per_root o.timeout_per_root
 
 let run_extension_cached ~jobs ~store ~ext_key ~body_hash ~decls_hash
     ~closures ~heights ~ix base (ext : Sm.t) =
   set_extension base ext;
   let cg = base.sg.Supergraph.callgraph in
   let sst = Summary_store.stats store in
-  let base_snapshot = Hashtbl.copy base.annots in
   (* Annotation-state hashes, one per enclosing definition: extensions
      after the first see the tags earlier extensions left anywhere in the
      program, so cache keys must cover them — but hashing the whole table
@@ -2879,7 +2842,7 @@ let run_extension_cached ~jobs ~store ~ext_key ~body_hash ~decls_hash
       | Some e ->
           let ctx, occ = Hashtbl.find ix.ai_pos eid in
           let entry =
-            annot_base e.Cast.eloc ~printed:(Cprint.expr_to_string e) ~ctx
+            annot_pos_key e.Cast.eloc ~printed:(Cprint.expr_to_string e) ~ctx
             ^ "#" ^ string_of_int occ ^ "="
             ^ String.concat "," (List.rev tags)
           in
@@ -2889,7 +2852,7 @@ let run_extension_cached ~jobs ~store ~ext_key ~body_hash ~decls_hash
             | None -> Hashtbl.replace annot_groups ctx (ref [ entry ])
           end
           else annot_misc := entry :: !annot_misc)
-    base_snapshot;
+    base.annots;
   let group_hash entries =
     Fingerprint.of_string ~salt:"annot-1"
       (String.concat "\x00" (List.sort String.compare entries))
@@ -2951,37 +2914,8 @@ let run_extension_cached ~jobs ~store ~ext_key ~body_hash ~decls_hash
     | None -> None
     | Some (cfg : Cfg.t) -> (
         let scratch =
-          {
-            sg = base.sg;
-            opts = base.opts;
-            ids = base.ids;
-            intern =
-              Intern.create
-                ~strings:(not base.opts.state_ids)
-                ~n_exprs:(Exprid.n base.sg.Supergraph.ids) ();
-            store0 = base.store0;
-            collector = Report.new_collector ();
-            counters = Hashtbl.create 16;
-            annots = Hashtbl.copy base_snapshot;
-            annots_done =
-              Bytes.make (max 1 base.sg.Supergraph.flat.Flat.n_blocks) '\000';
-            fsums = Hashtbl.create 16;
-            events_cache = Hashtbl.create 64;
-            dedup = Hashtbl.create 16;
-            traversed = Hashtbl.create 16;
-            demanded = Hashtbl.create 8;
-            shared = None;
-            st = new_stats ();
-            cur_ext = base.cur_ext;
-            dsp = base.dsp;
-            fuel = max_int;
-            deadline = 0.;
-            poll = budget_poll;
-            degraded_roots = [];
-            node_matched = false;
-            journal = [];
-            journaling = false;
-          }
+          make_rctx ~ids:base.ids ~store0:base.store0 ~annot_base:base.annots
+            ~options:base.opts ~ext:base.cur_ext ~dsp:base.dsp base.sg
         in
         List.iter
           (fun g ->
@@ -3042,7 +2976,7 @@ let run_extension_cached ~jobs ~store ~ext_key ~body_hash ~decls_hash
                 Wire.string b actx;
                 Wire.int b occ;
                 Wire.list b Wire.string tags)
-              (annot_delta ~base:base_snapshot ~ix scratch.annots);
+              (annot_delta ~ix scratch.annots);
             Some
               (bs, sfx, rets, Fingerprint.of_string ~salt:"canon-1" (Wire.contents b)))
   in
@@ -3106,111 +3040,47 @@ let run_extension_cached ~jobs ~store ~ext_key ~body_hash ~decls_hash
         annot_key_of cl;
       ]
   in
-  let roots = Array.of_list (Supergraph.roots base.sg) in
+  let roots = Supergraph.roots base.sg in
   let plans =
-    Array.map
-      (fun r ->
-        match
-          Summary_store.load_root store ~ext:ext_key ~root:r ~key:(root_key r)
-        with
-        | Some e ->
-            if List.exists (Hashtbl.mem unchanged) (closures r) then
-              sst.Summary_store.roots_salvaged <-
-                sst.Summary_store.roots_salvaged + 1;
-            `Replay e
-        | None -> `Compute)
-      roots
+    Array.of_list
+      (List.map
+         (fun r ->
+           match
+             Summary_store.load_root store ~ext:ext_key ~root:r ~key:(root_key r)
+           with
+           | Some e ->
+               if List.exists (Hashtbl.mem unchanged) (closures r) then
+                 sst.Summary_store.roots_salvaged <-
+                   sst.Summary_store.roots_salvaged + 1;
+               Replay (e, ix)
+           | None -> Compute)
+         roots)
   in
-  let invalid = ref [] in
-  Array.iteri
-    (fun i p -> match p with `Compute -> invalid := i :: !invalid | `Replay _ -> ())
-    plans;
-  let invalid = Array.of_list (List.rev !invalid) in
-  Log.debug (fun m ->
-      m "extension %s: %d/%d roots replayed from cache" ext.Sm.sm_name
-        (Array.length roots - Array.length invalid)
-        (Array.length roots));
-  let workers =
-    Pool.run_results ~jobs (Array.length invalid) (fun j ->
-        let rctx = new_rctx_in ~options:base.opts ~ext ~dsp:base.dsp base.sg in
-        Hashtbl.iter (fun k v -> Hashtbl.replace rctx.annots k v) base.annots;
-        run_root_contained rctx ext roots.(invalid.(j));
-        seal_worker_stats rctx;
-        rctx)
-  in
-  let worker_of = Hashtbl.create 16 in
-  Array.iteri (fun j idx -> Hashtbl.replace worker_of idx j) invalid;
-  (* deterministic merge in root order, replayed and recomputed roots alike *)
-  let dedup : (string, unit) Hashtbl.t = Hashtbl.create 64 in
-  let emit_merged r =
-    let key = report_key r in
-    if not (Hashtbl.mem dedup key) then begin
-      Hashtbl.replace dedup key ();
-      Report.emit base.collector r
-    end
-  in
-  let add_counter rule e c =
-    let e0, c0 = Option.value (Hashtbl.find_opt base.counters rule) ~default:(0, 0) in
-    Hashtbl.replace base.counters rule (e0 + e, c0 + c)
-  in
-  Array.iteri
-    (fun idx root ->
-      match plans.(idx) with
-      | `Replay (e : Summary_store.root_entry) ->
-          List.iter emit_merged e.r_reports;
-          List.iter (fun (rule, ex, cx) -> add_counter rule ex cx) e.r_counters;
-          inject_annots base ~ix e.r_annots;
-          List.iter (fun f -> Hashtbl.replace base.traversed f ()) e.r_traversed;
-          add_stats_list base.st e.r_stats
-      | `Compute -> (
-          match workers.(Hashtbl.find worker_of idx) with
-          | Error e ->
-              (* worker crashed outside the root boundary: degrade this
-                 root, persist nothing for it *)
-              base.degraded_roots <-
-                {
-                  d_root = root;
-                  d_reason = "worker failed: " ^ Printexc.to_string e;
-                }
-                :: base.degraded_roots
-          | Ok w when w.degraded_roots <> [] ->
-              (* the root blew its budget (or crashed) and was rolled
-                 back: record the degraded note and — critically — do NOT
-                 store a root entry. An empty entry would replay as "this
-                 root is clean" on the next warm run. Its fsums were reset
-                 by the rollback, so the function-summary write-back below
-                 gets nothing from it either. *)
-              List.iter
-                (fun d -> base.degraded_roots <- d :: base.degraded_roots)
-                (List.rev w.degraded_roots);
-              add_stats base.st w.st
-          | Ok w ->
-              List.iter emit_merged (Report.reports w.collector);
-              Hashtbl.iter (fun rule (e, c) -> add_counter rule e c) w.counters;
-              merge_annots base.annots w.annots;
-              Hashtbl.iter
-                (fun f () -> Hashtbl.replace base.traversed f ())
-                w.traversed;
-              add_stats base.st w.st;
-              if Summary_store.persist store then
-                Summary_store.store_root store ~ext:ext_key
-                  {
-                    Summary_store.r_root = root;
-                    r_key = root_key root;
-                    r_reports = Report.reports w.collector;
-                    r_counters =
-                      List.sort
-                        (fun (a, _, _) (b, _, _) -> String.compare a b)
-                        (Hashtbl.fold
-                           (fun rule (e, c) acc -> (rule, e, c) :: acc)
-                           w.counters []);
-                    r_annots = annot_delta ~base:base_snapshot ~ix w.annots;
-                    r_traversed =
-                      List.sort String.compare
-                        (Hashtbl.fold (fun f () acc -> f :: acc) w.traversed []);
-                    r_stats = stats_to_list w.st;
-                  }))
-    roots
+  (* Shared units stay off: a publication's stats are folded into the run
+     once, not into the demanding root, so a stored root entry would lose
+     that accounting and a warm replay would print different stats. *)
+  let computed = run_roots ~jobs ~heights ~share:false base plans in
+  (* A degraded root is not among [computed]: an empty entry would replay
+     as "this root is clean" on the next warm run. *)
+  if Summary_store.persist store then
+    List.iter
+      (fun (root, (w : rctx)) ->
+        Summary_store.store_root store ~ext:ext_key
+          {
+            Summary_store.r_root = root;
+            r_key = root_key root;
+            r_reports = Report.reports w.collector;
+            r_counters =
+              List.sort
+                (fun (a, _, _) (b, _, _) -> String.compare a b)
+                (Hashtbl.fold (fun rule (e, c) acc -> (rule, e, c) :: acc) w.counters []);
+            r_annots = annot_delta ~ix w.annots;
+            r_traversed =
+              List.sort String.compare
+                (Hashtbl.fold (fun f () acc -> f :: acc) w.traversed []);
+            r_stats = stats_to_list w.st;
+          })
+      computed
 
 let run_cached ?options ~jobs store sg exts =
   let rctx = new_rctx ?options sg in
@@ -3266,16 +3136,25 @@ let run ?options ?(jobs = 1) ?cache sg exts =
   | Some store -> run_cached ?options ~jobs store sg exts
   | None ->
       let rctx = new_rctx ?options sg in
-      (* callout registration mutates a global table: force it before domains
-         race on first lookup *)
-      if jobs > 1 then Callout.install_builtins ();
-      List.iter
-        (fun ext ->
-          (* summaries are per-extension *)
-          Hashtbl.reset rctx.fsums;
-          if jobs > 1 then run_extension_parallel ~jobs rctx ext
-          else run_extension rctx ext)
-        exts;
+      if jobs <= 1 then
+        List.iter
+          (fun ext ->
+            (* summaries are per-extension *)
+            Hashtbl.reset rctx.fsums;
+            run_extension rctx ext)
+          exts
+      else begin
+        (* callout registration mutates a global table: force it before
+           domains race on first lookup *)
+        Callout.install_builtins ();
+        let heights = Callgraph.acyclic_heights sg.Supergraph.callgraph in
+        let plans = Array.make (List.length (Supergraph.roots sg)) Compute in
+        List.iter
+          (fun ext ->
+            set_extension rctx ext;
+            ignore (run_roots ~jobs ~heights ~share:true rctx plans))
+          exts
+      end;
       collect_result rctx
 
 let run_with_summaries ?options sg exts =

@@ -95,7 +95,7 @@ type stats = {
           these three are process-local: not persisted in the summary
           store, 0 for cache-replayed roots. *)
   mutable shared_published : int;
-      (** parallel scheduler only ([jobs > 1]): shared summary units —
+      (** uncached per-root pipeline only ([jobs > 1]): shared summary units —
           pure-entry callees — computed once in a scratch context and
           published to the fleet-wide store *)
   mutable shared_replayed : int;
@@ -159,11 +159,15 @@ val run :
     callgraph root.
 
     [jobs] (default 1) is the number of worker domains. With [jobs = 1]
-    the engine runs exactly as before — one root context shared by every
-    root, function summaries reused across roots. With [jobs > 1] each
-    callgraph root is an individual task on a work-stealing scheduler
-    ({!Pool.run_sched}), dispatched bottom-up by acyclic callgraph height
-    and analysed in a private root context over the shared supergraph.
+    and no [cache] the engine runs sequentially — one root context shared
+    by every root, function summaries reused across roots. Every other
+    mode runs one per-root pipeline: each callgraph root to compute is an
+    individual task on a work-stealing scheduler ({!Pool.run_sched}),
+    dispatched bottom-up by acyclic callgraph height and analysed in a
+    private root context over the shared supergraph. A root context reads
+    the annotations earlier extensions left as a read-only base (shared,
+    never copied, so setup does not grow with the annotation count) and
+    writes only its own tags.
     Callees entered with no active instances (characterized by name and
     inbound global state alone) are {e shared summary units}: computed
     exactly once fleet-wide in a scratch context, published to a
@@ -181,19 +185,22 @@ val run :
     demanding root's fuel exactly as a private traversal of the callee
     would have been, so [max_nodes_per_root] no longer disables the
     shared store and [shared_recomputed] stays 0 under budgets.
-    Annotations still compose across extensions (merged between extension
-    runs); annotations made during one root's traversal are not visible to
-    {e other roots of the same extension} in parallel mode.
+    Annotations still compose across extensions (each root's tags are
+    merged into the base between extension runs); annotations made during
+    one root's traversal are not visible to {e other roots of the same
+    extension} in the per-root pipeline.
 
-    [cache] switches to persistent incremental execution on top of the
-    same per-root model: roots whose transitive-callee closure hash
-    matches a stored entry are replayed verbatim from the store, the rest
-    are recomputed on the pool ([jobs] applies to them) and written back
-    (unless the store is read-only). Reports stay byte-identical to an
-    uncached run at any [jobs]. Per-function summaries are persisted as
-    the invalidation ledger — a leaf edit flips exactly the leaf and its
-    transitive callers to stale — with hit/stale/absent counts in the
-    store's stats. *)
+    [cache] hands the same pipeline a per-root plan from the store: roots
+    whose transitive-callee closure hash matches a stored entry are
+    replayed verbatim and merged in root order with the rest, which are
+    computed on the pool ([jobs] applies to them) and written back
+    (unless the store is read-only; a degraded root is never stored).
+    Shared units stay off for persisted roots, whose stored stats must
+    stand alone. Reports stay byte-identical to an uncached run at any
+    [jobs]. Per-function summaries are persisted as the invalidation
+    ledger — a leaf edit flips exactly the leaf and its transitive
+    callers to stale — with hit/stale/absent counts in the store's
+    stats. *)
 
 val run_function :
   ?options:options -> Supergraph.t -> Sm.sm_inst -> fname:string -> result

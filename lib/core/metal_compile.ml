@@ -48,7 +48,7 @@ let int_of_value = function
 let run_actions (stmts : Metal_ast.action_stmt list) : Sm.action =
  fun (actx : Sm.actx) ->
   let cctx =
-    { Callout.typing = actx.a_typing; node = actx.a_node; annots = Hashtbl.create 1 }
+    { Callout.typing = actx.a_typing; node = actx.a_node; annots = (fun _ -> []) }
   in
   let eval e = Pattern.eval_callout cctx actx.a_bindings e in
   let annotations = ref [] in

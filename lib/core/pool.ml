@@ -1,96 +1,5 @@
 let recommended_jobs () = max 1 (Domain.recommended_domain_count ())
 
-(* ~4 chunks per worker: enough slack for the queue to balance uneven task
-   costs, while per-task fixed costs (context setup, result merge) are paid
-   per chunk rather than per item. *)
-let chunks ~jobs n =
-  if n <= 0 then [||]
-  else begin
-    let k = min n (max 1 (jobs * 4)) in
-    let base = n / k and rem = n mod k in
-    Array.init k (fun c ->
-        let start = (c * base) + min c rem in
-        let len = base + if c < rem then 1 else 0 in
-        (start, len))
-  end
-
-(* Spawn up to [k] worker domains, degrading instead of crashing when
-   [Domain.spawn] itself raises (thread or fd exhaustion): the queue
-   drains on whatever was spawned plus the calling domain. Stop at the
-   first failure — if the system is out of threads, further attempts just
-   burn time — and say so once on the diagnostics channel. *)
-let spawn_guarded ~spawn k body =
-  let rec go acc i =
-    if i >= k then List.rev acc
-    else
-      match spawn body with
-      | d -> go (d :: acc) (i + 1)
-      | exception e ->
-          Diag.warnf "Domain.spawn failed (%s); degrading to %d worker domain(s)"
-            (Printexc.to_string e)
-            (List.length acc + 1);
-          List.rev acc
-  in
-  go [] 0
-
-(* Fault-isolating variant: every task runs to completion and reports
-   [Ok] or [Error] individually — one domain's crash never aborts the
-   queue or poisons other tasks' results. [run] below keeps the original
-   fail-fast contract for callers where any failure is fatal anyway. *)
-let run_results ?(spawn = Domain.spawn) ~jobs n f =
-  let guarded i = match f i with v -> Ok v | exception e -> Error e in
-  if n <= 0 then [||]
-  else if jobs <= 1 || n = 1 then Array.init n guarded
-  else begin
-    let results = Array.make n None in
-    let next = Atomic.make 0 in
-    let rec worker () =
-      let i = Atomic.fetch_and_add next 1 in
-      if i < n then begin
-        results.(i) <- Some (guarded i);
-        worker ()
-      end
-    in
-    let spawned = spawn_guarded ~spawn (min (jobs - 1) (n - 1)) worker in
-    worker ();
-    List.iter Domain.join spawned;
-    Array.map
-      (function
-        | Some r -> r
-        | None -> Error (Invalid_argument "Pool.run_results: task skipped"))
-      results
-  end
-
-let run ?(spawn = Domain.spawn) ~jobs n f =
-  if n <= 0 then [||]
-  else if jobs <= 1 || n = 1 then Array.init n f
-  else begin
-    let results = Array.make n None in
-    let next = Atomic.make 0 in
-    let failure : exn option Atomic.t = Atomic.make None in
-    let rec worker () =
-      let i = Atomic.fetch_and_add next 1 in
-      if i < n && Atomic.get failure = None then begin
-        (match f i with
-        | v -> results.(i) <- Some v
-        | exception e -> ignore (Atomic.compare_and_set failure None (Some e)));
-        worker ()
-      end
-    in
-    (* the calling domain is worker number [jobs]; spawn the rest *)
-    let spawned = spawn_guarded ~spawn (min (jobs - 1) (n - 1)) worker in
-    worker ();
-    List.iter Domain.join spawned;
-    (match Atomic.get failure with Some e -> raise e | None -> ());
-    Array.map
-      (function Some v -> v | None -> invalid_arg "Pool.run: task skipped")
-      results
-  end
-
-(* ------------------------------------------------------------------ *)
-(* Work-stealing scheduler                                             *)
-(* ------------------------------------------------------------------ *)
-
 type sched_stats = { workers : int; stolen : int; spawn_failures : int }
 
 (* One per worker. The owner pops from [head] (front: the earliest tasks

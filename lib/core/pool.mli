@@ -1,14 +1,14 @@
-(** A fixed-size domain pool over shared work (OCaml 5 [Domain]s, stdlib
-    only).
+(** A fixed-size domain pool over independent tasks (OCaml 5 [Domain]s,
+    stdlib only).
 
-    The engine's unit of parallelism is one callgraph root (or, in pass 1,
-    one input file): tasks are independent, so the primitives here are a
-    plain atomic work queue ({!run}, {!run_results}) and a work-stealing
-    scheduler over a caller-supplied priority order ({!run_sched}).
-    Results come back in index order regardless of which domain ran which
-    task, which is what makes the engine's merge step deterministic.
+    The unit of parallelism is one callgraph root in the engine's per-root
+    pipeline, or one input file in [xgcc emit]. Tasks are independent, so
+    the one entry point is a work-stealing scheduler over a caller-supplied
+    priority order ({!run_sched}) with per-task fault isolation. Results
+    come back in index order regardless of which domain ran which task,
+    which is what makes the callers' merges deterministic.
 
-    All entry points degrade rather than crash when [Domain.spawn] itself
+    The scheduler degrades rather than crashes when [Domain.spawn] itself
     fails (thread or fd exhaustion): the work still completes on the
     domains that did spawn — worst case the calling domain alone — and a
     single warning is emitted through {!Diag.warnf}. *)
@@ -16,44 +16,6 @@
 val recommended_jobs : unit -> int
 (** [Domain.recommended_domain_count ()], clamped to at least 1 — the
     default worker count for [-j 0]. *)
-
-val chunks : jobs:int -> int -> (int * int) array
-(** [chunks ~jobs n] partitions [0 .. n-1] into contiguous [(start, length)]
-    ranges, about four per worker (never more than [n], never empty).
-    Batching items into chunked tasks amortises per-task fixed costs that
-    dominated one-task-per-item scheduling; contiguity keeps a chunk-order
-    merge identical to an item-order merge. *)
-
-val run_results :
-  ?spawn:((unit -> unit) -> unit Domain.t) ->
-  jobs:int ->
-  int ->
-  (int -> 'a) ->
-  ('a, exn) result array
-(** Fault-isolating [run]: each task's outcome is recorded individually
-    as [Ok] or [Error] and every task runs — one crashing task never
-    aborts the queue or discards another task's result. This is the
-    worker-isolation primitive: the engine converts an [Error] chunk into
-    [Degraded] roots and keeps going. Same inline guarantee for
-    [jobs <= 1] / [n <= 1] as {!run}. [?spawn] substitutes for
-    [Domain.spawn] in tests of spawn-failure degradation. *)
-
-val run :
-  ?spawn:((unit -> unit) -> unit Domain.t) ->
-  jobs:int ->
-  int ->
-  (int -> 'a) ->
-  'a array
-(** [run ~jobs n f] evaluates [f 0 .. f (n-1)] on up to [jobs] domains
-    (the calling domain included) and returns the results in index order.
-
-    [jobs <= 1] or [n <= 1] runs everything inline in the calling domain —
-    no domain is spawned, so the sequential path is byte-for-byte the old
-    behavior. Tasks must not raise for flow control: the first exception
-    raised by any task aborts the queue (no new tasks start), is captured,
-    and is re-raised in the calling domain after all workers join. *)
-
-(** {1 Work-stealing scheduler} *)
 
 type sched_stats = {
   workers : int;  (** domains that ran tasks, the calling domain included *)
@@ -69,8 +31,12 @@ val run_sched :
   (worker:int -> int -> 'a) ->
   ('a, exn) result array * sched_stats
 (** [run_sched ~jobs ~order n f] evaluates task indices [0 .. n-1] on up
-    to [jobs] domains with per-task fault isolation (as {!run_results})
-    and returns results in index order plus scheduling statistics.
+    to [jobs] domains and returns results in index order plus scheduling
+    statistics. Fault isolation is per task: each outcome is recorded as
+    [Ok] or [Error] individually and every task runs, so one raising task
+    never aborts the queue or discards another task's result. A caller
+    that treats any failure as fatal re-raises the lowest-index [Error]
+    itself, which keeps the reported failure independent of scheduling.
 
     [order] is a permutation of [0 .. n-1] giving global task priority
     (default: index order). It is striped round-robin across per-worker

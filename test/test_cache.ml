@@ -30,6 +30,50 @@ let store_over dir =
    order, so no sorting here *)
 let report_lines (r : Engine.result) = List.map Report.to_string r.Engine.reports
 
+let checkers names =
+  List.map (fun n -> (Option.get (Registry.find n)).Registry.e_make ()) names
+
+let store_for names dir =
+  Summary_store.create ~dir
+    ~ext_keys:
+      (Summary_store.ext_keys_of
+         ~options_digest:(Engine.options_digest Engine.default_options)
+         ~sources:names)
+    ()
+
+(* The stat counters a stored root entry carries: equal across every
+   cached run of one tree, replayed or computed, at any -j. *)
+let persisted_stats (r : Engine.result) =
+  let s = r.Engine.stats in
+  [
+    s.Engine.blocks_visited; s.Engine.nodes_visited; s.Engine.cache_hits;
+    s.Engine.paths_explored; s.Engine.calls_followed; s.Engine.summary_hits;
+    s.Engine.pruned_branches; s.Engine.transitions_fired;
+    s.Engine.instances_created;
+  ]
+
+(* Roots whose later extensions read tags an earlier extension left:
+   panic() is tagged mc_kill_path (pathkill, then free: comp_kill2's
+   use-after-free sits on a killed path), [r < 0] opens an ERROR path and
+   get_user_pointer a SECURITY one (errpath, secpath, then null and leak
+   fold those tags into their reports). The edited version [compose_v2]
+   changes what [rel] reports for every list: a use-after-free (free) and
+   unchecked allocations (null). *)
+let compose ~rel_body =
+  "static void die(void) { panic(\"fatal\"); }\n\
+   static void rel(int *p) { " ^ rel_body ^ " }\n\
+   int probe(int n);\n\
+   int comp_kill(int *p, int c) { kfree(p); if (c) { die(); } return *p; }\n\
+   int comp_kill2(int *p) { kfree(p); panic(\"fatal\"); return *p; }\n\
+   int comp_err(int n) { int *q = kmalloc(n); int r = probe(n);\n\
+  \  if (r < 0) { *q = 1; return r; } kfree(q); return 0; }\n\
+   int comp_sec(int len) { char *u = get_user_pointer(len); int *m = kmalloc(len);\n\
+  \  *m = 1; return *u; }\n\
+   int comp_rel(int n) { int *x = kmalloc(n); rel(x); if (n < 0) { die(); } return *x; }\n"
+
+let compose_v1 = compose ~rel_body:"(void)p;"
+let compose_v2 = compose ~rel_body:"int *q = kmalloc(4); *q = 1; kfree(p); *p = 2;"
+
 let leaf_v1 =
   "static void leaf(int *p) { int e = 1; (void)e; kfree(p); }\n\
    int caller(int n) { int *x = kmalloc(n); leaf(x); return *x; }\n\
@@ -195,7 +239,53 @@ let suite =
         Alcotest.(check int)
           "warm run recomputes nothing" 0 st.Summary_store.roots_recomputed;
         Alcotest.(check bool)
-          "warm run replays roots" true (st.Summary_store.roots_replayed > 0));
+          "warm run replays roots" true (st.Summary_store.roots_replayed > 0);
+        (* Composition across modes: a linked corpus, checker lists whose
+           later extensions read earlier extensions' tags, cached cold runs
+           at -j2 and -j4, a warm -j4 run and a post-edit cached -j2 run,
+           each against uncached -j1 of the same tree. *)
+        let linked =
+          Gen.generate_linked ~seed:5 ~n_files:3 ~funcs_per_file:6 ~bug_rate:0.5
+          |> List.map (fun (file, g) -> (file, g.Gen.source))
+        in
+        let v1 = sg_of_files (linked @ [ ("compose.c", compose_v1) ]) in
+        let v2 = sg_of_files (linked @ [ ("compose.c", compose_v2) ]) in
+        List.iter
+          (fun names ->
+            let same label (expect : Engine.result) (got : Engine.result) =
+              let label = String.concat "," names ^ ": " ^ label in
+              Alcotest.(check (list string))
+                (label ^ " reports") (report_lines expect) (report_lines got);
+              Alcotest.(check (list (triple string int int)))
+                (label ^ " counters") expect.Engine.counters got.Engine.counters;
+              Alcotest.(check int) (label ^ " coverage")
+                expect.Engine.stats.Engine.functions_traversed
+                got.Engine.stats.Engine.functions_traversed
+            in
+            let ref1 = Engine.run v1 (checkers names) in
+            let dir2 = temp_dir () and dir4 = temp_dir () in
+            let cold2 = Engine.run ~jobs:2 ~cache:(store_for names dir2) v1 (checkers names) in
+            let cold4 = Engine.run ~jobs:4 ~cache:(store_for names dir4) v1 (checkers names) in
+            let warm_store = store_for names dir2 in
+            let warm4 = Engine.run ~jobs:4 ~cache:warm_store v1 (checkers names) in
+            same "cold -j2" ref1 cold2;
+            same "cold -j4" ref1 cold4;
+            same "warm -j4" ref1 warm4;
+            Alcotest.(check int) "warm -j4 recomputes nothing" 0
+              (Summary_store.stats warm_store).Summary_store.roots_recomputed;
+            Alcotest.(check (list int)) "persisted stats, cold -j2 = cold -j4"
+              (persisted_stats cold2) (persisted_stats cold4);
+            Alcotest.(check (list int)) "persisted stats, cold -j2 = warm -j4"
+              (persisted_stats cold2) (persisted_stats warm4);
+            let edit_store = store_for names dir2 in
+            let edited = Engine.run ~jobs:2 ~cache:edit_store v2 (checkers names) in
+            same "post-edit -j2" (Engine.run v2 (checkers names)) edited;
+            let est = Summary_store.stats edit_store in
+            Alcotest.(check bool) "post-edit run recomputes comp_rel" true
+              (est.Summary_store.roots_recomputed > 0);
+            Alcotest.(check bool) "post-edit run replays the rest" true
+              (est.Summary_store.roots_replayed > 0))
+          [ [ "free" ]; [ "pathkill"; "free" ]; [ "errpath"; "secpath"; "null"; "leak" ] ]);
     t "summary-neutral leaf edit cuts off at the leaf" `Quick (fun () ->
         let dir = temp_dir () in
         (* cold run populates the store for v1 *)

@@ -140,6 +140,52 @@ let budget_tests =
             Alcotest.(check (list string))
               (Printf.sprintf "other roots byte-identical (j=%d)" jobs)
               (report_lines healthy) (report_lines r))
+          [ 1; 2 ];
+        (* Cached mode: a cold run degrades the same root and stores no
+           entry for it, so the next warm run recomputes exactly that
+           root (and degrades it again) while replaying the rest. *)
+        let sg =
+          Supergraph.build
+            [ Cparse.parse_tunit ~file:"t.c" (explosion_src ^ explode_fn) ]
+        in
+        let store_over dir =
+          Summary_store.create ~dir
+            ~ext_keys:
+              (Summary_store.ext_keys_of
+                 ~options_digest:(Engine.options_digest budgeted)
+                 ~sources:[ "free" ])
+            ()
+        in
+        let degraded_roots (r : Engine.result) =
+          List.map (fun (d : Engine.degraded) -> d.Engine.d_root) r.Engine.degraded
+        in
+        List.iter
+          (fun jobs ->
+            let dir = Filename.temp_file "xgcc_fault_cache" "" in
+            Sys.remove dir;
+            Sys.mkdir dir 0o755;
+            let cached ~jobs store =
+              fst
+                (with_diag (fun () ->
+                     Engine.run ~options:budgeted ~jobs ~cache:store sg [ free () ]))
+            in
+            let label = Printf.sprintf "cached cold j=%d" jobs in
+            let cold = cached ~jobs (store_over dir) in
+            Alcotest.(check (list string)) (label ^ ": degraded")
+              [ "explode" ] (degraded_roots cold);
+            Alcotest.(check (list string)) (label ^ ": other roots byte-identical")
+              (report_lines healthy) (report_lines cold);
+            let warm_store = store_over dir in
+            let warm = cached ~jobs warm_store in
+            Alcotest.(check (list string)) (label ^ ", warm: degraded")
+              [ "explode" ] (degraded_roots warm);
+            Alcotest.(check (list string)) (label ^ ", warm: reports")
+              (report_lines healthy) (report_lines warm);
+            let st = Summary_store.stats warm_store in
+            Alcotest.(check int) (label ^ ", warm: only explode recomputes") 1
+              st.Summary_store.roots_recomputed;
+            Alcotest.(check int) (label ^ ", warm: the rest replay") 2
+              st.Summary_store.roots_replayed)
           [ 1; 2 ]);
     t "budget exhaustion does not leak partial stats or summaries" `Quick
       (fun () ->

@@ -751,7 +751,7 @@ let table_cache () =
   Printf.printf "%-22s %10.4f %20d / %d\n" "comment-only edit" t_comment
     cst.Summary_store.roots_replayed cst.Summary_store.roots_recomputed;
   Printf.printf "%-22s %10.4f %28s\n" "daemon warm re-check" t_daemon
-    (Printf.sprintf "%.0fx vs cached edit run" daemon_vs_edit);
+    (Printf.sprintf "%.1fx vs cached edit run" daemon_vs_edit);
   Printf.printf "daemon diagnostics byte-identical to cold check: %b\n"
     daemon_identical;
   Printf.printf
@@ -770,7 +770,7 @@ let table_cache () =
         \"roots_replayed_edit\": %d, \"roots_recomputed_edit\": %d, \
         \"fns_recomputed_edit\": %d, \"sums_unchanged_edit\": %d, \
         \"roots_salvaged_edit\": %d, \"roots_recomputed_comment_edit\": %d, \
-        \"daemon_warm_recheck_s\": %.4f, \"daemon_vs_edit\": %.1f, \
+        \"daemon_warm_recheck_s\": %.4f, \"daemon_vs_edit\": %.2f, \
         \"daemon_identical\": %b, \"deterministic\": %b}"
        (List.length files) t_cold t_warm t_edit t_comment speedup edit_vs_cold
        wst.Summary_store.roots_replayed wst.Summary_store.roots_recomputed

@@ -835,10 +835,11 @@ let do_cache_dump files =
   let failed = ref false in
   List.iter
     (fun path ->
-      (* entry kind is recognised by magic: summary-store entries first,
-         then binary AST cache objects, then emitted sexp .mcast files *)
-      match Summary_store.dump_entry path with
-      | Ok sx -> Format.printf "%s@." (Sexp.to_string sx)
+      (* file kind is recognised by magic: summary-store packs (one line
+         per entry) first, then binary AST cache objects, then emitted
+         sexp .mcast files *)
+      match Summary_store.dump_pack path with
+      | Ok sxs -> List.iter (fun sx -> Format.printf "%s@." (Sexp.to_string sx)) sxs
       | Error store_err -> (
           match Cast_io.read_cached_file path with
           | Ok tu ->
@@ -862,11 +863,12 @@ let cache_stats_cmd =
     Term.(const do_cache_stats $ dir)
 
 let cache_dump_cmd =
-  let files = Arg.(non_empty & pos_all file [] & info [] ~docv:"ENTRY") in
+  let files = Arg.(non_empty & pos_all file [] & info [] ~docv:"FILE") in
   Cmd.v
     (Cmd.info "dump"
-       ~doc:"Decode binary cache entry files (function summaries, root \
-             replay entries, AST objects) and print them as sexps")
+       ~doc:"Decode binary cache files (summary-store packs, one line per \
+             function-summary or root replay entry; AST objects) and print \
+             them as sexps")
     Term.(const do_cache_dump $ files)
 
 let cache_cmd =

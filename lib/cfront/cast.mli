@@ -180,5 +180,7 @@ val base_lvalue : expr -> expr option
 (** The identifier at the base of an lvalue: [x] for [x], [x.f], [x->f],
     [*x], [x[i]]; [None] for other shapes. *)
 
+val unop_to_string : unop -> string
+val binop_to_string : binop -> string
 val pp_unop : Format.formatter -> unop -> unit
 val pp_binop : Format.formatter -> binop -> unit

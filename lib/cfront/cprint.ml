@@ -47,51 +47,50 @@ let rec pp_decl_like ppf (t, name) =
       pp_decl_like ppf (r, Printf.sprintf "%s(%s)" name params)
   | t -> Format.fprintf ppf "%a %s" Ctyp.pp t name
 
-let rec pp_expr_prec min_prec ppf e =
-  let p = prec e in
-  let parens = p < min_prec in
-  if parens then Format.pp_print_string ppf "(";
+(* Expressions print straight into a Buffer: they carry no Format boxes
+   or break hints, so rendering through a formatter would only add cost
+   (the annotation index prints every expression of the program). *)
+let rec add_expr b min_prec e =
+  let str = Buffer.add_string b and sub = add_expr b in
+  let parens = prec e < min_prec in
+  if parens then str "(";
   (match e.enode with
-  | Eint n -> Format.pp_print_string ppf (Int64.to_string n)
-  | Efloat f -> Format.fprintf ppf "%g" f
-  | Echar c -> Format.fprintf ppf "'%s'" (Char.escaped c)
-  | Estr s -> Format.fprintf ppf "%S" s
-  | Eident x -> Format.pp_print_string ppf x
-  | Eunary (Postinc, e1) -> Format.fprintf ppf "%a++" (pp_expr_prec 15) e1
-  | Eunary (Postdec, e1) -> Format.fprintf ppf "%a--" (pp_expr_prec 15) e1
-  | Eunary (u, e1) -> Format.fprintf ppf "%a%a" pp_unop u (pp_expr_prec 14) e1
+  | Eint n -> str (Int64.to_string n)
+  | Efloat f -> Printf.bprintf b "%g" f
+  | Echar c -> Printf.bprintf b "'%s'" (Char.escaped c)
+  | Estr s -> Printf.bprintf b "%S" s
+  | Eident x -> str x
+  | Eunary (Postinc, e1) -> sub 15 e1; str "++"
+  | Eunary (Postdec, e1) -> sub 15 e1; str "--"
+  | Eunary (u, e1) -> str (unop_to_string u); sub 14 e1
   | Ebinary (o, l, r) ->
       let bp = binop_prec o in
-      Format.fprintf ppf "%a %a %a" (pp_expr_prec bp) l pp_binop o (pp_expr_prec (bp + 1)) r
+      sub bp l; str " "; str (binop_to_string o); str " "; sub (bp + 1) r
   | Eassign (o, l, r) ->
-      let op = match o with None -> "=" | Some o -> Format.asprintf "%a=" pp_binop o in
-      Format.fprintf ppf "%a %s %a" (pp_expr_prec 2) l op (pp_expr_prec 1) r
-  | Ecall (f, args) ->
-      Format.fprintf ppf "%a(%a)" (pp_expr_prec 15) f
-        (Format.pp_print_list
-           ~pp_sep:(fun ppf () -> Format.pp_print_string ppf ", ")
-           (pp_expr_prec 1))
-        args
-  | Efield (e1, f) -> Format.fprintf ppf "%a.%s" (pp_expr_prec 15) e1 f
-  | Earrow (e1, f) -> Format.fprintf ppf "%a->%s" (pp_expr_prec 15) e1 f
-  | Eindex (a, i) -> Format.fprintf ppf "%a[%a]" (pp_expr_prec 15) a (pp_expr_prec 0) i
-  | Ecast (t, e1) -> Format.fprintf ppf "(%a)%a" Ctyp.pp t (pp_expr_prec 14) e1
-  | Econd (c, t, f) ->
-      Format.fprintf ppf "%a ? %a : %a" (pp_expr_prec 3) c (pp_expr_prec 1) t
-        (pp_expr_prec 2) f
-  | Ecomma (l, r) -> Format.fprintf ppf "%a, %a" (pp_expr_prec 1) l (pp_expr_prec 0) r
-  | Esizeof_type t -> Format.fprintf ppf "sizeof(%a)" Ctyp.pp t
-  | Esizeof_expr e1 -> Format.fprintf ppf "sizeof(%a)" (pp_expr_prec 0) e1
-  | Einit_list es ->
-      Format.fprintf ppf "{ %a }"
-        (Format.pp_print_list
-           ~pp_sep:(fun ppf () -> Format.pp_print_string ppf ", ")
-           (pp_expr_prec 1))
-        es);
-  if parens then Format.pp_print_string ppf ")"
+      sub 2 l; str " "; Option.iter (fun o -> str (binop_to_string o)) o; str "= "; sub 1 r
+  | Ecall (f, args) -> sub 15 f; str "("; add_list b args; str ")"
+  | Efield (e1, f) -> sub 15 e1; str "."; str f
+  | Earrow (e1, f) -> sub 15 e1; str "->"; str f
+  | Eindex (a, i) -> sub 15 a; str "["; sub 0 i; str "]"
+  | Ecast (t, e1) -> str "("; str (Ctyp.to_string t); str ")"; sub 14 e1
+  | Econd (c, t, f) -> sub 3 c; str " ? "; sub 1 t; str " : "; sub 2 f
+  | Ecomma (l, r) -> sub 1 l; str ", "; sub 0 r
+  | Esizeof_type t -> str "sizeof("; str (Ctyp.to_string t); str ")"
+  | Esizeof_expr e1 -> str "sizeof("; sub 0 e1; str ")"
+  | Einit_list es -> str "{ "; add_list b es; str " }");
+  if parens then str ")"
 
+and add_list b es =
+  List.iteri (fun i e -> if i > 0 then Buffer.add_string b ", "; add_expr b 1 e) es
+
+let expr_to_string_prec min_prec e =
+  let b = Buffer.create 32 in
+  add_expr b min_prec e;
+  Buffer.contents b
+
+let pp_expr_prec min_prec ppf e = Format.pp_print_string ppf (expr_to_string_prec min_prec e)
 let pp_expr ppf e = pp_expr_prec 0 ppf e
-let expr_to_string e = Format.asprintf "%a" pp_expr e
+let expr_to_string e = expr_to_string_prec 0 e
 
 let pp_decl ppf (d : decl) =
   pp_decl_like ppf (d.dtyp, d.dname);

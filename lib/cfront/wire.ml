@@ -56,16 +56,18 @@ let list b enc xs =
   uvarint b (List.length xs);
   List.iter (enc b) xs
 
+let raw b src pos len = Buffer.add_substring b src pos len
 let contents = Buffer.contents
 
 (* ------------------------------------------------------------------ *)
 (* Reader                                                              *)
 (* ------------------------------------------------------------------ *)
 
-type reader = { src : string; mutable pos : int }
+(* [lim] bounds a reader over a slice of [src] (see [sub_reader]). *)
+type reader = { src : string; mutable pos : int; lim : int }
 
 let reader ?magic src =
-  let r = { src; pos = 0 } in
+  let r = { src; pos = 0; lim = String.length src } in
   (match magic with
   | None -> ()
   | Some m ->
@@ -75,8 +77,15 @@ let reader ?magic src =
       r.pos <- n);
   r
 
+let sub_reader src ~pos ~len =
+  if pos < 0 || len < 0 || pos + len > String.length src then
+    corrupt "slice %d+%d out of bounds" pos len;
+  { src; pos; lim = pos + len }
+
+let rpos r = r.pos
+
 let ru8 r =
-  if r.pos >= String.length r.src then corrupt "truncated at byte %d" r.pos;
+  if r.pos >= r.lim then corrupt "truncated at byte %d" r.pos;
   let c = Char.code r.src.[r.pos] in
   r.pos <- r.pos + 1;
   c
@@ -108,13 +117,17 @@ let ri64 r =
 let rfloat r = Int64.float_of_bits (ri64 r)
 let rbool r = match ru8 r with 0 -> false | 1 -> true | n -> corrupt "bad bool %d" n
 
-let rstring r =
+let rspan r =
   let n = ruvarint r in
-  if n < 0 || r.pos + n > String.length r.src then
+  if n < 0 || r.pos + n > r.lim then
     corrupt "truncated string (%d bytes) at byte %d" n r.pos;
-  let s = String.sub r.src r.pos n in
+  let pos = r.pos in
   r.pos <- r.pos + n;
-  s
+  (pos, n)
+
+let rstring r =
+  let pos, n = rspan r in
+  String.sub r.src pos n
 
 let roption r dec = match ru8 r with
   | 0 -> None
@@ -124,10 +137,10 @@ let roption r dec = match ru8 r with
 let rlist r dec =
   let n = ruvarint r in
   (* bound the preallocation by what the input could possibly hold *)
-  if n > String.length r.src - r.pos + 1 then corrupt "bad list length %d" n;
+  if n > r.lim - r.pos + 1 then corrupt "bad list length %d" n;
   List.init n (fun _ -> dec r)
 
-let at_end r = r.pos >= String.length r.src
+let at_end r = r.pos >= r.lim
 
 let read_file path =
   let ic = open_in_bin path in

@@ -29,6 +29,11 @@ val bool : writer -> bool -> unit
 val string : writer -> string -> unit
 val option : writer -> (writer -> 'a -> unit) -> 'a option -> unit
 val list : writer -> (writer -> 'a -> unit) -> 'a list -> unit
+
+val raw : writer -> string -> int -> int -> unit
+(** [raw b src pos len] appends [len] bytes of [src] from [pos] verbatim,
+    with no length prefix — for copying already-encoded frames. *)
+
 val contents : writer -> string
 
 (** {1 Reading} *)
@@ -39,12 +44,25 @@ val reader : ?magic:string -> string -> reader
 (** Raises {!Corrupt} when [magic] is given and the input does not start
     with it. *)
 
+val sub_reader : string -> pos:int -> len:int -> reader
+(** A reader over the [len] bytes of [src] from [pos], without copying;
+    reads past the slice raise {!Corrupt}, as does a slice outside
+    [src]. *)
+
+val rpos : reader -> int
+(** The reader's current byte offset into its source string. *)
+
 val ru8 : reader -> int
 val rint : reader -> int
 val ri64 : reader -> int64
 val rfloat : reader -> float
 val rbool : reader -> bool
 val rstring : reader -> string
+
+val rspan : reader -> int * int
+(** Skip a length-prefixed string, returning its [(offset, length)] in
+    the source instead of copying it. *)
+
 val roption : reader -> (reader -> 'a) -> 'a option
 val rlist : reader -> (reader -> 'a) -> 'a list
 val at_end : reader -> bool

@@ -2500,32 +2500,41 @@ let rec iter_exprs_stmt f (s : Cast.stmt) =
    (location, printed, definition) triple, assigned in the deterministic
    index-traversal order below. Replay then targets exactly the node the
    worker annotated, never a positional twin. *)
-let annot_pos_key (loc : Srcloc.t) ~printed ~ctx =
-  Printf.sprintf "%s:%d:%d|%s|%s" loc.file loc.line loc.col printed ctx
+let annot_pos_base (loc : Srcloc.t) ~printed ~ctx =
+  String.concat ""
+    [ loc.file; ":"; string_of_int loc.line; ":"; string_of_int loc.col; "|"; printed; "|"; ctx ]
+
+let annot_pos_key loc ~printed ~ctx ~occ =
+  annot_pos_base loc ~printed ~ctx ^ "#" ^ string_of_int occ
+
+(* An indexed node's position, with its printed form and positional key
+   kept so the delta and grouping code never print the expression again. *)
+type annot_node = {
+  an_loc : Srcloc.t;
+  an_printed : string;
+  an_ctx : string;  (* enclosing global definition *)
+  an_occ : int;  (* occurrence rank under (location, printed, ctx) *)
+  an_key : string;  (* [annot_pos_key] of the above *)
+}
 
 type annot_index = {
-  ai_exprs : (int, Cast.expr) Hashtbl.t;  (* eid -> node *)
-  ai_pos : (int, string * int) Hashtbl.t;  (* eid -> (enclosing def, occurrence) *)
+  ai_nodes : (int, annot_node) Hashtbl.t;  (* eid -> position *)
   ai_ids : (string, int) Hashtbl.t;  (* full positional key -> eid *)
 }
 
 let build_annot_index (sg : Supergraph.t) =
-  let ix =
-    {
-      ai_exprs = Hashtbl.create 1024;
-      ai_pos = Hashtbl.create 1024;
-      ai_ids = Hashtbl.create 1024;
-    }
-  in
+  let ix = { ai_nodes = Hashtbl.create 1024; ai_ids = Hashtbl.create 1024 } in
   let occs : (string, int) Hashtbl.t = Hashtbl.create 1024 in
   let visit ctx (e : Cast.expr) =
-    if not (Hashtbl.mem ix.ai_exprs e.Cast.eid) then begin
-      Hashtbl.replace ix.ai_exprs e.Cast.eid e;
-      let base = annot_pos_key e.eloc ~printed:(Cprint.expr_to_string e) ~ctx in
+    if not (Hashtbl.mem ix.ai_nodes e.Cast.eid) then begin
+      let printed = Cprint.expr_to_string e in
+      let base = annot_pos_base e.eloc ~printed ~ctx in
       let occ = Option.value (Hashtbl.find_opt occs base) ~default:0 in
       Hashtbl.replace occs base (occ + 1);
-      Hashtbl.replace ix.ai_pos e.Cast.eid (ctx, occ);
-      Hashtbl.replace ix.ai_ids (base ^ "#" ^ string_of_int occ) e.Cast.eid
+      let an_key = base ^ "#" ^ string_of_int occ in
+      Hashtbl.replace ix.ai_nodes e.Cast.eid
+        { an_loc = e.eloc; an_printed = printed; an_ctx = ctx; an_occ = occ; an_key };
+      Hashtbl.replace ix.ai_ids an_key e.Cast.eid
     end
   in
   List.iter
@@ -2548,11 +2557,9 @@ let annot_delta ~ix (own : (int, string list) Hashtbl.t) =
   let deltas =
     Hashtbl.fold
       (fun eid tags acc ->
-        match Hashtbl.find_opt ix.ai_exprs eid with
+        match Hashtbl.find_opt ix.ai_nodes eid with
         | None -> acc
-        | Some e ->
-            let ctx, occ = Hashtbl.find ix.ai_pos eid in
-            (e.Cast.eloc, Cprint.expr_to_string e, ctx, occ, List.rev tags) :: acc)
+        | Some n -> (n.an_loc, n.an_printed, n.an_ctx, n.an_occ, List.rev tags) :: acc)
       own []
   in
   List.sort
@@ -2570,7 +2577,7 @@ let add_tags tbl eid tags =
 let inject_annots base ~ix annots =
   List.iter
     (fun ((loc : Srcloc.t), printed, ctx, occ, tags) ->
-      let k = annot_pos_key loc ~printed ~ctx ^ "#" ^ string_of_int occ in
+      let k = annot_pos_key loc ~printed ~ctx ~occ in
       match Hashtbl.find_opt ix.ai_ids k with
       | None -> ()
       | Some eid -> add_tags base.annots eid tags)
@@ -2807,7 +2814,7 @@ let run_roots ~jobs ~heights ~share base (plans : plan array) =
    persistent cache key, so a stamp change orphans results computed by
    older builds instead of silently replaying them — the store's format
    version only guards the entry encoding, not what the engine computed. *)
-let analysis_version = "xgcc-analysis-4"
+let analysis_version = "xgcc-analysis-5"
 
 let options_digest (o : options) =
   (* budgets are part of the digest: a budget-limited run can legitimately
@@ -2837,15 +2844,10 @@ let run_extension_cached ~jobs ~store ~ext_key ~body_hash ~decls_hash
   let annot_misc = ref [] in
   Hashtbl.iter
     (fun eid tags ->
-      match Hashtbl.find_opt ix.ai_exprs eid with
+      match Hashtbl.find_opt ix.ai_nodes eid with
       | None -> ()
-      | Some e ->
-          let ctx, occ = Hashtbl.find ix.ai_pos eid in
-          let entry =
-            annot_pos_key e.Cast.eloc ~printed:(Cprint.expr_to_string e) ~ctx
-            ^ "#" ^ string_of_int occ ^ "="
-            ^ String.concat "," (List.rev tags)
-          in
+      | Some { an_ctx = ctx; an_key; _ } ->
+          let entry = an_key ^ "=" ^ String.concat "," (List.rev tags) in
           if Callgraph.is_defined cg ctx then begin
             match Hashtbl.find_opt annot_groups ctx with
             | Some r -> r := entry :: !r
@@ -2864,16 +2866,26 @@ let run_extension_cached ~jobs ~store ~ext_key ~body_hash ~decls_hash
   Hashtbl.iter
     (fun ctx entries -> Hashtbl.replace annot_hashes ctx (group_hash !entries))
     annot_groups;
-  let annot_key_of cl =
-    Fingerprint.combine
-      [
-        annot_misc_h;
-        Fingerprint.combine_pairs
-          (List.filter_map
-             (fun g ->
-               Option.map (fun h -> (g, h)) (Hashtbl.find_opt annot_hashes g))
-             cl);
-      ]
+  (* the annotation key of [f]'s closure, shared by its function and
+     root keys *)
+  let annot_keys : (string, Fingerprint.t) Hashtbl.t = Hashtbl.create 64 in
+  let annot_key f =
+    match Hashtbl.find_opt annot_keys f with
+    | Some k -> k
+    | None ->
+        let k =
+          Fingerprint.combine
+            [
+              annot_misc_h;
+              Fingerprint.combine_pairs
+                (List.filter_map
+                   (fun g ->
+                     Option.map (fun h -> (g, h)) (Hashtbl.find_opt annot_hashes g))
+                   (closures f));
+            ]
+        in
+        Hashtbl.replace annot_keys f k;
+        k
   in
   (* Early cutoff needs the canonical traversal to terminate and to be
      timing-independent, so it requires the summary caches on and per-root
@@ -2887,18 +2899,22 @@ let run_extension_cached ~jobs ~store ~ext_key ~body_hash ~decls_hash
   let content_of f =
     match Hashtbl.find_opt content f with Some c -> c | None -> body_hash f
   in
+  (* canonical tables by function: summaries (decoded from the store only
+     when a recomputed caller is seeded from them) and returned states *)
   let canon :
-      (string, Summary.t array * Summary.t array * string list) Hashtbl.t =
+      ( string,
+        (Summary.t array * Summary.t array) option Lazy.t * string list )
+      Hashtbl.t =
     Hashtbl.create 64
   in
   let unchanged : (string, unit) Hashtbl.t = Hashtbl.create 16 in
-  let fn_key f callees cl =
+  let fn_key f callees =
     Fingerprint.combine
       [
         body_hash f;
         decls_hash;
         Fingerprint.combine_pairs (List.map (fun g -> (g, content_of g)) callees);
-        annot_key_of cl;
+        annot_key f;
       ]
   in
   (* Canonical recomputation: traverse [f] alone from its entry under the
@@ -2920,7 +2936,10 @@ let run_extension_cached ~jobs ~store ~ext_key ~body_hash ~decls_hash
         List.iter
           (fun g ->
             match (Hashtbl.find_opt canon g, Supergraph.cfg_of base.sg g) with
-            | Some (gbs, gsfx, grets), Some gcfg ->
+            | Some (sums, grets), Some gcfg -> (
+                match Lazy.force sums with
+                | None -> ()
+                | Some (gbs, gsfx) ->
                 let rets = Hashtbl.create (List.length grets + 1) in
                 List.iter (fun k -> Hashtbl.replace rets k ()) grets;
                 merge_fsum_into
@@ -2930,7 +2949,7 @@ let run_extension_cached ~jobs ~store ~ext_key ~body_hash ~decls_hash
                     bs = Array.map Option.some gbs;
                     sfx = Array.map Option.some gsfx;
                     rets;
-                  }
+                  })
             | _ -> ())
           callees;
         match
@@ -3002,15 +3021,13 @@ let run_extension_cached ~jobs ~store ~ext_key ~body_hash ~decls_hash
     in
     List.iter
       (fun f ->
-        let cl = closures f in
-        let callees = List.filter (fun g -> not (String.equal g f)) cl in
-        let key = fn_key f callees cl in
+        let callees = List.filter (fun g -> not (String.equal g f)) (closures f) in
+        let key = fn_key f callees in
         match Summary_store.probe_fn store ~ext:ext_key ~fname:f ~key with
         | Summary_store.Hit e ->
             Hashtbl.replace content f e.Summary_store.f_content;
             Hashtbl.replace canon f
-              (e.Summary_store.f_bs, e.Summary_store.f_sfx,
-               e.Summary_store.f_rets)
+              (lazy (Summary_store.fn_summaries e), e.Summary_store.f_rets)
         | (Summary_store.Stale _ | Summary_store.Absent) as p -> (
             sst.Summary_store.fns_recomputed <-
               sst.Summary_store.fns_recomputed + 1;
@@ -3018,7 +3035,7 @@ let run_extension_cached ~jobs ~store ~ext_key ~body_hash ~decls_hash
             | None -> Hashtbl.replace content f (body_hash f)
             | Some (bs, sfx, rets, c) ->
                 Hashtbl.replace content f c;
-                Hashtbl.replace canon f (bs, sfx, rets);
+                Hashtbl.replace canon f (Lazy.from_val (Some (bs, sfx)), rets);
                 (match p with
                 | Summary_store.Stale old when String.equal old c ->
                     (* the cutoff: recomputation reproduced the stored
@@ -3032,12 +3049,11 @@ let run_extension_cached ~jobs ~store ~ext_key ~body_hash ~decls_hash
       ordered
   end;
   let root_key r =
-    let cl = closures r in
     Fingerprint.combine
       [
         decls_hash;
-        Fingerprint.combine_pairs (List.map (fun g -> (g, content_of g)) cl);
-        annot_key_of cl;
+        Fingerprint.combine_pairs (List.map (fun g -> (g, content_of g)) (closures r));
+        annot_key r;
       ]
   in
   let roots = Supergraph.roots base.sg in
@@ -3085,6 +3101,9 @@ let run_extension_cached ~jobs ~store ~ext_key ~body_hash ~decls_hash
 let run_cached ?options ~jobs store sg exts =
   let rctx = new_rctx ?options sg in
   Callout.install_builtins ();
+  (* bodies and declarations hash over their Wire encoding, salted with
+     both AST format stamps *)
+  let ast_salt = Cast_io.format_version ^ "+" ^ Cast_io.cache_version in
   let body_hash_tbl = Hashtbl.create 64 in
   let body_hash f =
     match Hashtbl.find_opt body_hash_tbl f with
@@ -3093,8 +3112,9 @@ let run_cached ?options ~jobs store sg exts =
         let h =
           match Supergraph.cfg_of sg f with
           | Some (cfg : Cfg.t) ->
-              Fingerprint.of_string ~salt:Cast_io.format_version
-                (Sexp.to_string (Cast_io.global_to_sexp (Cast.Gfun cfg.func)))
+              let b = Wire.writer () in
+              Cast_io.global_to_bin b (Cast.Gfun cfg.func);
+              Fingerprint.of_string ~salt:ast_salt (Wire.contents b)
           | None -> Fingerprint.of_string f
         in
         Hashtbl.replace body_hash_tbl f h;
@@ -3107,19 +3127,17 @@ let run_cached ?options ~jobs store sg exts =
      struct/union layouts, enum constants, prototypes and global-variable
      declarations all feed the typing environment (and file-scope statics
      drive sleep/wake partitioning), yet none of them appear in any Gfun
-     sexp. Hash every non-function global into every cache key so a
+     encoding. Hash every non-function global into every cache key so a
      declaration-level edit invalidates cached entries too. *)
   let decls_hash =
-    Fingerprint.of_string ~salt:Cast_io.format_version
-      (String.concat "\x00"
-         (List.concat_map
-            (fun (tu : Cast.tunit) ->
-              List.filter_map
-                (function
-                  | Cast.Gfun _ -> None
-                  | g -> Some (Sexp.to_string (Cast_io.global_to_sexp g)))
-                tu.tu_globals)
-            sg.Supergraph.tunits))
+    let b = Wire.writer () in
+    List.iter
+      (fun (tu : Cast.tunit) ->
+        List.iter
+          (function Cast.Gfun _ -> () | g -> Cast_io.global_to_bin b g)
+          tu.tu_globals)
+      sg.Supergraph.tunits;
+    Fingerprint.of_string ~salt:ast_salt (Wire.contents b)
   in
   let ix = build_annot_index sg in
   List.iteri
@@ -3128,6 +3146,7 @@ let run_cached ?options ~jobs store sg exts =
       run_extension_cached ~jobs ~store ~ext_key:(Summary_store.ext_key store i)
         ~body_hash ~decls_hash ~closures ~heights ~ix rctx ext)
     exts;
+  Summary_store.flush store;
   Summary_store.save_last_run store;
   collect_result rctx
 

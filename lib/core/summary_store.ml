@@ -15,9 +15,8 @@ type fn_entry = {
   f_name : string;
   f_key : Fingerprint.t;
   f_content : Fingerprint.t;
-  f_bs : Summary.t array;
-  f_sfx : Summary.t array;
   f_rets : string list;
+  f_sums : (Summary.t array * Summary.t array) Lazy.t;
 }
 
 type root_entry = {
@@ -30,38 +29,61 @@ type root_entry = {
   r_stats : int list;
 }
 
-(* In-memory overlay for long-lived processes (the serve daemon): decoded
-   entries keyed by their on-disk path, plus a negative cache of paths
-   known to be absent or unreadable. Warm probes hit the tables and skip
-   both the disk read and the binary decode; writes land in the tables
-   first and flow to disk only when [persist_] is also set. Decoded
-   entries are safe to share across runs: the engine seeds callers by
-   merging {e out of} a hit's summaries ([merge_fsum_into] only reads the
-   source side) and replays roots without mutating the entry. *)
-type memory = {
-  mem_fn : (string, fn_entry) Hashtbl.t;
-  mem_root : (string, root_entry) Hashtbl.t;
-  mem_absent : (string, unit) Hashtbl.t;
+(* One encoded frame, located but not decoded: offsets into [buf] — the
+   pack buffer, which every frame of one read shares, or the frame's own
+   string. The frame spans [start, stop); its digest covers
+   [start, body_end) — kind, name, header and payload. *)
+type frame = {
+  buf : string;
+  start : int;
+  stop : int;
+  body_end : int;
+  hdr : int;
+  hdr_len : int;
+  pay : int;
+  pay_len : int;
+  dig : int;
 }
 
-and t = {
+(* An entry of a pack table: its frame, its decoded value, or both. A
+   flush copies [bytes] verbatim and encodes only entries that have none.
+   [fresh]: written by this handle and not yet flushed, so it wins over
+   the disk copy. A disk-only store encodes a fresh entry at once and
+   keeps just the bytes, so the summaries and root results it was built
+   from can be collected before the run ends; a memory store keeps the
+   value and encodes at flush. A frame that fails its digest or decoder
+   is dropped from the table: a miss. *)
+type 'e slot = { bytes : frame option; value : 'e option; fresh : bool }
+
+(* The entries of one extension key, indexed by name from one read of
+   its pack. [stamp] identifies the file as read (inode, size, mtime), so
+   a flush can tell whether another process replaced it since. *)
+type pack = {
+  fns : (string, fn_entry slot) Hashtbl.t;
+  roots : (string, root_entry slot) Hashtbl.t;
+  mutable dirty : bool;
+  mutable stamp : (int * int * float) option;
+}
+
+type t = {
   dir : string;
   persist_ : bool;
-  mem : memory option;
+  memory : bool;
   ext_keys : Fingerprint.t array;
+  packs : (Fingerprint.t, pack) Hashtbl.t;
   st : stats;
 }
 
 (* Bump on any change to the entry encodings below: the version is salted
    into every extension key, so every stored entry becomes unreachable at
    once (orphaned, never misdecoded) and a cold recompute rebuilds the
-   store in the new format alongside. sumstore-3: binary entries, two-level
-   keying (fn entries keyed by body+callee-content, with a summary content
-   hash for early cutoff). *)
-let store_version = "sumstore-3"
+   store in the new format alongside. sumstore-4: one pack file per
+   extension key, frames with a header/payload split and a digest. *)
+let store_version = "sumstore-4"
 
-let fn_magic = "XGFN1\n"
-let root_magic = "XGRT1\n"
+let pack_magic = "XGPK1\n"
+let fn_kind = Char.code 'F'
+let root_kind = Char.code 'R'
 
 let mkdir_p dir =
   let rec go d =
@@ -85,16 +107,20 @@ let read_version ~dir =
         (fun () -> Some (String.trim (input_line ic)))
     with Sys_error _ | End_of_file -> None
 
+(* Write [data] to [path] atomically: tmp file in the target directory,
+   then rename, so readers see the old or the new file, never a torn one. *)
+let write_atomic path data =
+  let dir = Filename.dirname path in
+  mkdir_p dir;
+  let tmp = Filename.temp_file ~temp_dir:dir "store" ".tmp" in
+  let oc = open_out_bin tmp in
+  output_string oc data;
+  close_out oc;
+  Sys.rename tmp path
+
 let write_version dir =
-  if read_version ~dir <> Some store_version then begin
-    mkdir_p dir;
-    let tmp = Filename.temp_file ~temp_dir:dir "version" ".tmp" in
-    let oc = open_out_bin tmp in
-    output_string oc store_version;
-    output_char oc '\n';
-    close_out oc;
-    Sys.rename tmp (version_path dir)
-  end
+  if read_version ~dir <> Some store_version then
+    write_atomic (version_path dir) (store_version ^ "\n")
 
 let create ~dir ?(persist = true) ?(memory = false) ~ext_keys () =
   (* Stamp the store version: entries of an older version are orphaned by
@@ -103,16 +129,9 @@ let create ~dir ?(persist = true) ?(memory = false) ~ext_keys () =
   {
     dir;
     persist_ = persist;
-    mem =
-      (if memory then
-         Some
-           {
-             mem_fn = Hashtbl.create 1024;
-             mem_root = Hashtbl.create 1024;
-             mem_absent = Hashtbl.create 1024;
-           }
-       else None);
+    memory;
     ext_keys = Array.of_list ext_keys;
+    packs = Hashtbl.create 8;
     st =
       {
         ast_hits = 0;
@@ -142,14 +161,16 @@ let ext_key t i = t.ext_keys.(i)
 
 (* "Accepts writes": a memory-backed store captures results even when it
    never writes them to disk, so the engine must still hand entries over. *)
-let persist t = t.persist_ || Option.is_some t.mem
+let persist t = t.persist_ || t.memory
 let disk_persist t = t.persist_
-let in_memory t = Option.is_some t.mem
+let in_memory t = t.memory
 
 let mem_entries t =
-  match t.mem with
-  | None -> 0
-  | Some m -> Hashtbl.length m.mem_fn + Hashtbl.length m.mem_root
+  if not t.memory then 0
+  else
+    Hashtbl.fold
+      (fun _ p n -> n + Hashtbl.length p.fns + Hashtbl.length p.roots)
+      t.packs 0
 
 let stats t = t.st
 
@@ -174,27 +195,129 @@ let pp_stats ppf t =
     t.st.sums_unchanged t.st.roots_salvaged
 
 (* ------------------------------------------------------------------ *)
-(* Files                                                               *)
+(* Pack files                                                          *)
 (* ------------------------------------------------------------------ *)
 
-let entry_path t ~kind ~ext ~name =
-  Filename.concat
-    (Filename.concat t.dir kind)
-    (Fingerprint.combine [ ext; Fingerprint.of_string name ] ^ ".bin")
+(* A pack is [pack_magic] followed by frames:
 
-let read_entry path =
-  if not (Sys.file_exists path) then None
-  else try Some (Wire.read_file path) with Sys_error _ -> None
+     kind (u8 'F' | 'R') · name · header · payload · digest
 
-let write_entry t path data =
-  if t.persist_ then begin
-    mkdir_p (Filename.dirname path);
-    let tmp = Filename.temp_file ~temp_dir:(Filename.dirname path) "entry" ".tmp" in
-    let oc = open_out_bin tmp in
-    output_string oc data;
-    close_out oc;
-    Sys.rename tmp path
-  end
+   name, header, payload and digest are Wire strings; the digest is the
+   raw MD5 of the frame's bytes up to it. Frames are parsed in order and
+   the first malformed one ends the pack, so a truncated pack loses only
+   the frames past the cut; a frame whose bytes were damaged in place
+   fails its digest and reads as a miss on its own. *)
+
+let pack_path dir ext = Filename.concat (Filename.concat dir "pack") (ext ^ ".bin")
+
+let read_frame r buf =
+  let start = Wire.rpos r in
+  let kind = Wire.ru8 r in
+  let name = Wire.rstring r in
+  let hdr, hdr_len = Wire.rspan r in
+  let pay, pay_len = Wire.rspan r in
+  let body_end = Wire.rpos r in
+  let dig, dig_len = Wire.rspan r in
+  if dig_len <> 16 then raise (Wire.Corrupt "bad digest length");
+  (kind, name, { buf; start; stop = Wire.rpos r; body_end; hdr; hdr_len; pay; pay_len; dig })
+
+let iter_frames buf f =
+  match Wire.reader ~magic:pack_magic buf with
+  | exception Wire.Corrupt _ -> ()
+  | r ->
+      let rec go () =
+        if not (Wire.at_end r) then
+          match read_frame r buf with
+          | exception Wire.Corrupt _ -> ()
+          | kind, name, fr ->
+              f kind name fr;
+              go ()
+      in
+      go ()
+
+let digest_ok fr =
+  String.equal
+    (Digest.substring fr.buf fr.start (fr.body_end - fr.start))
+    (String.sub fr.buf fr.dig 16)
+
+let header fr = Wire.sub_reader fr.buf ~pos:fr.hdr ~len:fr.hdr_len
+let payload fr = Wire.sub_reader fr.buf ~pos:fr.pay ~len:fr.pay_len
+
+let copy_frame b fr = Wire.raw b fr.buf fr.start (fr.stop - fr.start)
+
+let encode_frame ~kind ~name ~header ~payload =
+  let b = Wire.writer () in
+  Wire.u8 b kind;
+  Wire.string b name;
+  Wire.string b header;
+  Wire.string b payload;
+  Wire.string b (Digest.string (Wire.contents b));
+  let buf = Wire.contents b in
+  let _, _, fr = read_frame (Wire.reader buf) buf in
+  fr
+
+let stamp_of (s : Unix.stats) = Some (s.st_ino, s.st_size, s.st_mtime)
+
+(* One read of the whole pack, or [None] when there is none (or it cannot
+   be read — a miss, never an error). *)
+let read_pack path =
+  match open_in_bin path with
+  | exception Sys_error _ -> None
+  | ic ->
+      Fun.protect
+        ~finally:(fun () -> close_in_noerr ic)
+        (fun () ->
+          try
+            let st = Unix.fstat (Unix.descr_of_in_channel ic) in
+            Some (really_input_string ic st.st_size, stamp_of st)
+          with Sys_error _ | End_of_file | Unix.Unix_error _ -> None)
+
+let index_pack buf stamp =
+  let p = { fns = Hashtbl.create 1024; roots = Hashtbl.create 1024; dirty = false; stamp } in
+  iter_frames buf (fun kind name fr ->
+      let slot = { bytes = Some fr; value = None; fresh = false } in
+      if kind = fn_kind then Hashtbl.replace p.fns name slot
+      else if kind = root_kind then Hashtbl.replace p.roots name slot);
+  p
+
+(* The pack table of [ext], read on first touch. *)
+let pack t ext =
+  match Hashtbl.find_opt t.packs ext with
+  | Some p -> p
+  | None ->
+      let p =
+        match read_pack (pack_path t.dir ext) with
+        | Some (buf, stamp) -> index_pack buf stamp
+        | None -> index_pack "" None
+      in
+      Hashtbl.replace t.packs ext p;
+      p
+
+(* Decode a table entry; a memory store keeps the result. A frame that
+   fails its digest or its decoder leaves the table: the decoders raise
+   Wire.Corrupt on malformed input and Failure/Invalid_argument on
+   nonsense payloads. *)
+let decoded t tbl name decode =
+  match Hashtbl.find_opt tbl name with
+  | None -> None
+  | Some { value = Some e; _ } -> Some e
+  | Some { bytes = None; value = None; _ } -> None
+  | Some ({ bytes = Some fr; value = None; _ } as slot) -> (
+      match if digest_ok fr then Some (decode name fr) else None with
+      | Some e ->
+          if t.memory then Hashtbl.replace tbl name { slot with value = Some e };
+          Some e
+      | None | (exception (Wire.Corrupt _ | Failure _ | Invalid_argument _)) ->
+          Hashtbl.remove tbl name;
+          None)
+
+(* Record a fresh entry: encoded now by a disk-only store, at flush by a
+   memory store. *)
+let put t p tbl name e encode =
+  Hashtbl.replace tbl name
+    (if t.memory then { bytes = None; value = Some e; fresh = true }
+     else { bytes = Some (encode e); value = None; fresh = true });
+  p.dirty <- true
 
 (* ------------------------------------------------------------------ *)
 (* Function-summary entries                                            *)
@@ -202,67 +325,48 @@ let write_entry t path data =
 
 type probe = Hit of fn_entry | Stale of Fingerprint.t | Absent
 
-let fn_to_bin e =
-  let b = Wire.writer ~magic:fn_magic () in
-  Wire.string b e.f_name;
+let fn_header_bin e =
+  let b = Wire.writer () in
   Wire.string b e.f_key;
   Wire.string b e.f_content;
   Wire.list b Wire.string e.f_rets;
-  Wire.int b (Array.length e.f_bs);
-  Array.iter (Summary.to_bin b) e.f_bs;
-  Array.iter (Summary.to_bin b) e.f_sfx;
   Wire.contents b
 
-let fn_of_bin src =
-  let r = Wire.reader ~magic:fn_magic src in
-  let f_name = Wire.rstring r in
+let sums_to_bin (bs, sfx) =
+  let b = Wire.writer () in
+  Wire.int b (Array.length bs);
+  Array.iter (Summary.to_bin b) bs;
+  Array.iter (Summary.to_bin b) sfx;
+  Wire.contents b
+
+let fn_frame e =
+  encode_frame ~kind:fn_kind ~name:e.f_name ~header:(fn_header_bin e)
+    ~payload:(sums_to_bin (Lazy.force e.f_sums))
+
+let sums_of_bin r =
+  let n = Wire.rint r in
+  if n < 0 then raise (Wire.Corrupt "bad block count");
+  let bs = Array.init n (fun _ -> Summary.of_bin r) in
+  let sfx = Array.init n (fun _ -> Summary.of_bin r) in
+  (bs, sfx)
+
+(* The header only: the summary arrays stay undecoded until forced. *)
+let fn_of_frame name fr =
+  let r = header fr in
   let f_key = Wire.rstring r in
   let f_content = Wire.rstring r in
   let f_rets = Wire.rlist r Wire.rstring in
-  let n = Wire.rint r in
-  if n < 0 then raise (Wire.Corrupt "bad block count");
-  let f_bs = Array.init n (fun _ -> Summary.of_bin r) in
-  let f_sfx = Array.init n (fun _ -> Summary.of_bin r) in
-  { f_name; f_key; f_content; f_bs; f_sfx; f_rets }
+  { f_name = name; f_key; f_content; f_rets; f_sums = lazy (sums_of_bin (payload fr)) }
 
-let classify_fn ~fname ~key e =
-  if String.equal e.f_name fname then
-    if String.equal e.f_key key then Hit e else Stale e.f_content
-  else Absent
-
-let probe_fn_disk ~fname path =
-  match read_entry path with
-  | None -> None
-  | Some src -> (
-      (* a corrupt or truncated entry is a miss, never an error: the
-         decoder raises Wire.Corrupt on malformed frames and
-         Failure/Invalid_argument on nonsense payloads *)
-      match fn_of_bin src with
-      | e when String.equal e.f_name fname -> Some e
-      | _ -> None
-      | exception (Wire.Corrupt _ | Failure _ | Invalid_argument _) -> None)
+let fn_summaries e =
+  try Some (Lazy.force e.f_sums)
+  with Wire.Corrupt _ | Failure _ | Invalid_argument _ -> None
 
 let probe_fn t ~ext ~fname ~key =
-  let path = entry_path t ~kind:"sum" ~ext ~name:fname in
   let r =
-    match t.mem with
-    | None -> (
-        match probe_fn_disk ~fname path with
-        | Some e -> classify_fn ~fname ~key e
-        | None -> Absent)
-    | Some m -> (
-        match Hashtbl.find_opt m.mem_fn path with
-        | Some e -> classify_fn ~fname ~key e
-        | None ->
-            if Hashtbl.mem m.mem_absent path then Absent
-            else (
-              match probe_fn_disk ~fname path with
-              | Some e ->
-                  Hashtbl.replace m.mem_fn path e;
-                  classify_fn ~fname ~key e
-              | None ->
-                  Hashtbl.replace m.mem_absent path ();
-                  Absent))
+    match decoded t (pack t ext).fns fname fn_of_frame with
+    | Some e -> if String.equal e.f_key key then Hit e else Stale e.f_content
+    | None -> Absent
   in
   (match r with
   | Hit _ -> t.st.fn_hits <- t.st.fn_hits + 1
@@ -271,17 +375,13 @@ let probe_fn t ~ext ~fname ~key =
   r
 
 let store_fn t ~ext ~fname ~key ~content ~bs ~sfx ~rets =
-  let e =
-    { f_name = fname; f_key = key; f_content = content; f_bs = bs;
-      f_sfx = sfx; f_rets = rets }
-  in
-  let path = entry_path t ~kind:"sum" ~ext ~name:fname in
-  (match t.mem with
-  | Some m ->
-      Hashtbl.remove m.mem_absent path;
-      Hashtbl.replace m.mem_fn path e
-  | None -> ());
-  write_entry t path (fn_to_bin e)
+  if persist t then begin
+    let p = pack t ext in
+    put t p p.fns fname
+      { f_name = fname; f_key = key; f_content = content; f_rets = rets;
+        f_sums = Lazy.from_val (bs, sfx) }
+      fn_frame
+  end
 
 (* ------------------------------------------------------------------ *)
 (* Root replay entries                                                 *)
@@ -317,10 +417,13 @@ let annot_of_bin r =
   let tags = Wire.rlist r Wire.rstring in
   (Srcloc.make ~file ~line ~col, printed, ctx, occ, tags)
 
-let root_to_bin e =
-  let b = Wire.writer ~magic:root_magic () in
-  Wire.string b e.r_root;
+let root_header_bin e =
+  let b = Wire.writer () in
   Wire.string b e.r_key;
+  Wire.contents b
+
+let root_payload_bin e =
+  let b = Wire.writer () in
   Wire.list b Report.to_bin e.r_reports;
   Wire.list b counter_to_bin e.r_counters;
   Wire.list b annot_to_bin e.r_annots;
@@ -328,51 +431,35 @@ let root_to_bin e =
   Wire.list b Wire.int e.r_stats;
   Wire.contents b
 
-let root_of_bin src =
-  let r = Wire.reader ~magic:root_magic src in
-  let r_root = Wire.rstring r in
-  let r_key = Wire.rstring r in
+let root_frame e =
+  encode_frame ~kind:root_kind ~name:e.r_root ~header:(root_header_bin e)
+    ~payload:(root_payload_bin e)
+
+let root_key_of fr = Wire.rstring (header fr)
+
+let root_of_frame name fr =
+  let r_key = root_key_of fr in
+  let r = payload fr in
   let r_reports = Wire.rlist r Report.of_bin in
   let r_counters = Wire.rlist r counter_of_bin in
   let r_annots = Wire.rlist r annot_of_bin in
   let r_traversed = Wire.rlist r Wire.rstring in
   let r_stats = Wire.rlist r Wire.rint in
-  { r_root; r_key; r_reports; r_counters; r_annots; r_traversed; r_stats }
-
-let load_root_disk ~root path =
-  match read_entry path with
-  | None -> None
-  | Some src -> (
-      match
-        try Some (root_of_bin src)
-        with Wire.Corrupt _ | Failure _ | Invalid_argument _ -> None
-      with
-      | Some e when String.equal e.r_root root -> Some e
-      | Some _ | None -> None)
+  { r_root = name; r_key; r_reports; r_counters; r_annots; r_traversed; r_stats }
 
 let load_root t ~ext ~root ~key =
-  let path = entry_path t ~kind:"root" ~ext ~name:root in
-  let validate = function
-    | Some e when String.equal e.r_root root && String.equal e.r_key key ->
-        Some e
-    | Some _ | None -> None
-  in
+  let roots = (pack t ext).roots in
   let r =
-    match t.mem with
-    | None -> validate (load_root_disk ~root path)
-    | Some m -> (
-        match Hashtbl.find_opt m.mem_root path with
-        | Some e -> validate (Some e)
-        | None ->
-            if Hashtbl.mem m.mem_absent path then None
-            else (
-              match load_root_disk ~root path with
-              | Some e ->
-                  Hashtbl.replace m.mem_root path e;
-                  validate (Some e)
-              | None ->
-                  Hashtbl.replace m.mem_absent path ();
-                  None))
+    match Hashtbl.find_opt roots root with
+    | Some { value = None; bytes = Some fr; _ }
+      when (try not (String.equal (root_key_of fr) key)
+            with Wire.Corrupt _ -> false) ->
+        (* a stale root costs its header, not its payload *)
+        None
+    | _ -> (
+        match decoded t roots root root_of_frame with
+        | Some e when String.equal e.r_key key -> Some e
+        | Some _ | None -> None)
   in
   (match r with
   | Some _ -> t.st.roots_replayed <- t.st.roots_replayed + 1
@@ -380,13 +467,88 @@ let load_root t ~ext ~root ~key =
   r
 
 let store_root t ~ext e =
-  let path = entry_path t ~kind:"root" ~ext ~name:e.r_root in
-  (match t.mem with
-  | Some m ->
-      Hashtbl.remove m.mem_absent path;
-      Hashtbl.replace m.mem_root path e
-  | None -> ());
-  write_entry t path (root_to_bin e)
+  if persist t then begin
+    let p = pack t ext in
+    put t p p.roots e.r_root e root_frame
+  end
+
+(* ------------------------------------------------------------------ *)
+(* Flush                                                               *)
+(* ------------------------------------------------------------------ *)
+
+(* The entries of one kind a flush writes, sorted by name: ours where
+   this handle wrote them or the disk copy lacks them, otherwise the
+   disk copy's frame — at least as new as the one we loaded, since
+   another process may have written it since. *)
+let merge_kind ours disk =
+  let out = Hashtbl.create (Hashtbl.length ours + Hashtbl.length disk) in
+  Hashtbl.iter (fun name fr -> Hashtbl.replace out name (`Disk fr)) disk;
+  Hashtbl.iter
+    (fun name slot ->
+      if slot.fresh || not (Hashtbl.mem disk name) then Hashtbl.replace out name (`Ours slot))
+    ours;
+  List.sort (fun (a, _) (b, _) -> String.compare a b) (List.of_seq (Hashtbl.to_seq out))
+
+let emit_kind b ~encode entries =
+  List.iter
+    (fun (_, item) ->
+      match item with
+      | `Disk fr | `Ours { bytes = Some fr; _ } -> copy_frame b fr
+      | `Ours { value = Some e; _ } -> copy_frame b (encode e)
+      | `Ours { bytes = None; value = None; _ } -> ())
+    entries
+
+(* After a memory store's flush, re-point its table at the bytes just
+   written, keeping the values it had decoded for frames it wrote
+   itself, so the old buffer can be collected. *)
+let rebind tbl merged =
+  List.iter
+    (fun (name, item) ->
+      match (item, Hashtbl.find_opt tbl name) with
+      | `Ours { value = Some e; _ }, Some slot ->
+          Hashtbl.replace tbl name { slot with value = Some e }
+      | _ -> ())
+    merged
+
+(* Rewrite [ext]'s pack: untouched frames are copied as raw bytes, fresh
+   entries encoded. When the file changed since it was read, the new copy
+   is re-read first so entries another process wrote in between survive.
+   Two flushes that overlap still lose one side's entries: those become
+   misses on the next run, never wrong replays. *)
+let write_pack t ext p =
+  let path = pack_path t.dir ext in
+  let current = try stamp_of (Unix.stat path) with Unix.Unix_error _ -> None in
+  let disk_fns = Hashtbl.create 16 and disk_roots = Hashtbl.create 16 in
+  (if current <> p.stamp then
+     match read_pack path with
+     | Some (buf, _) ->
+         iter_frames buf (fun kind name fr ->
+             if kind = fn_kind then Hashtbl.replace disk_fns name fr
+             else if kind = root_kind then Hashtbl.replace disk_roots name fr)
+     | None -> ());
+  let fns = merge_kind p.fns disk_fns and roots = merge_kind p.roots disk_roots in
+  let b = Wire.writer ~magic:pack_magic () in
+  emit_kind b ~encode:fn_frame fns;
+  emit_kind b ~encode:root_frame roots;
+  let buf = Wire.contents b in
+  write_atomic path buf;
+  p.dirty <- false;
+  if t.memory then begin
+    let fresh = index_pack buf (try stamp_of (Unix.stat path) with Unix.Unix_error _ -> None) in
+    rebind fresh.fns fns;
+    rebind fresh.roots roots;
+    Hashtbl.replace t.packs ext fresh
+  end
+
+let flush t =
+  if t.persist_ then
+    List.iter
+      (fun (ext, p) ->
+        try write_pack t ext p with Sys_error _ | Unix.Unix_error _ -> ())
+      (Hashtbl.fold (fun ext p acc -> if p.dirty then (ext, p) :: acc else acc) t.packs []);
+  (* a disk-only handle re-reads the packs on its next run, so it sees
+     what other processes wrote in between *)
+  if not t.memory then Hashtbl.reset t.packs
 
 (* ------------------------------------------------------------------ *)
 (* Last-run counters                                                   *)
@@ -451,38 +613,46 @@ let load_last_run ~dir =
 type disk_kind = { dk_files : int; dk_bytes : int }
 type disk = { d_version : string option; d_ast : disk_kind; d_sum : disk_kind; d_root : disk_kind }
 
-let scan_kind dir kind =
-  let d = Filename.concat dir kind in
-  if not (Sys.file_exists d) then { dk_files = 0; dk_bytes = 0 }
-  else
-    try
-      Array.fold_left
-        (fun acc f ->
-          let path = Filename.concat d f in
-          match (Unix.stat path).Unix.st_kind with
-          | Unix.S_REG ->
-              {
-                dk_files = acc.dk_files + 1;
-                dk_bytes = acc.dk_bytes + (Unix.stat path).Unix.st_size;
-              }
-          | _ -> acc
-          | exception Unix.Unix_error _ -> acc)
-        { dk_files = 0; dk_bytes = 0 }
-        (Sys.readdir d)
-    with Sys_error _ -> { dk_files = 0; dk_bytes = 0 }
+let no_files = { dk_files = 0; dk_bytes = 0 }
+let add_kind k bytes = { dk_files = k.dk_files + 1; dk_bytes = k.dk_bytes + bytes }
 
+let regular_files d =
+  try
+    List.filter_map
+      (fun f ->
+        let path = Filename.concat d f in
+        match Unix.stat path with
+        | { Unix.st_kind = Unix.S_REG; st_size; _ } -> Some (path, st_size)
+        | _ -> None
+        | exception Unix.Unix_error _ -> None)
+      (Array.to_list (Sys.readdir d))
+  with Sys_error _ -> []
+
+(* AST objects are counted per file; summary and root entries per pack
+   frame, from the framing alone — no header or payload is decoded. *)
 let disk_stats ~dir =
-  {
-    d_version = read_version ~dir;
-    d_ast = scan_kind dir "ast";
-    d_sum = scan_kind dir "sum";
-    d_root = scan_kind dir "root";
-  }
+  let d_ast =
+    List.fold_left (fun k (_, n) -> add_kind k n) no_files
+      (regular_files (Filename.concat dir "ast"))
+  in
+  let d_sum = ref no_files and d_root = ref no_files in
+  List.iter
+    (fun (path, _) ->
+      match read_pack path with
+      | None -> ()
+      | Some (buf, _) ->
+          iter_frames buf (fun kind _ fr ->
+              let size = fr.stop - fr.start in
+              if kind = fn_kind then d_sum := add_kind !d_sum size
+              else if kind = root_kind then d_root := add_kind !d_root size))
+    (regular_files (Filename.concat dir "pack"));
+  { d_version = read_version ~dir; d_ast; d_sum = !d_sum; d_root = !d_root }
 
 (* Sexp renderings of the binary entries, for `cache dump` — debugging
    reads sexps, the hot path never does. *)
 
 let fn_to_sexp (e : fn_entry) =
+  let bs, sfx = Lazy.force e.f_sums in
   Sexp.list
     [
       Sexp.atom "fn";
@@ -493,8 +663,8 @@ let fn_to_sexp (e : fn_entry) =
       Sexp.list
         (Array.to_list
            (Array.mapi
-              (fun i b -> Sexp.list [ Summary.to_sexp b; Summary.to_sexp e.f_sfx.(i) ])
-              e.f_bs));
+              (fun i b -> Sexp.list [ Summary.to_sexp b; Summary.to_sexp sfx.(i) ])
+              bs));
     ]
 
 let root_to_sexp e =
@@ -528,19 +698,22 @@ let root_to_sexp e =
       Sexp.list (List.map (fun i -> Sexp.atom (string_of_int i)) e.r_stats);
     ]
 
-let dump_entry path =
+let dump_pack path =
   match Wire.read_file path with
   | exception Sys_error e -> Error e
-  | src -> (
-      let starts m =
-        String.length src >= String.length m
-        && String.equal (String.sub src 0 (String.length m)) m
-      in
-      try
-        if starts fn_magic then Ok (fn_to_sexp (fn_of_bin src))
-        else if starts root_magic then Ok (root_to_sexp (root_of_bin src))
-        else Error "unrecognised entry magic"
-      with
-      | Wire.Corrupt m -> Error ("corrupt entry: " ^ m)
-      | Failure m -> Error ("corrupt entry: " ^ m)
-      | Invalid_argument m -> Error ("corrupt entry: " ^ m))
+  | buf when not (String.starts_with ~prefix:pack_magic buf) ->
+      Error "not a pack file (unrecognised magic)"
+  | buf ->
+      let out = ref [] in
+      iter_frames buf (fun kind name fr ->
+          let entry =
+            try
+              if not (digest_ok fr) then failwith "digest mismatch"
+              else if kind = fn_kind then fn_to_sexp (fn_of_frame name fr)
+              else if kind = root_kind then root_to_sexp (root_of_frame name fr)
+              else failwith (Printf.sprintf "unknown frame kind %d" kind)
+            with Wire.Corrupt m | Failure m | Invalid_argument m ->
+              Sexp.list [ Sexp.atom "damaged"; Sexp.atom name; Sexp.atom m ]
+          in
+          out := entry :: !out);
+      Ok (List.rev !out)

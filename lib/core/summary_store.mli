@@ -6,18 +6,18 @@
     annotations feed later ones, so an edit to any earlier extension must
     invalidate everything downstream):
 
-    - {e function-summary entries} ([sum/]): one per defined function,
-      carrying the block and suffix summaries plus returned-state keys.
-      Each entry holds two fingerprints: the {e key}, a digest of the
-      function's own body, the file-scope declarations, its callees'
-      summary {e content} hashes, and the relevant annotation state; and
-      the {e content} hash, a digest of the summaries the entry actually
-      records. The two levels are what give early cutoff: when an edit
-      changes a function's body but recomputation produces the same
-      content hash, callers' keys (which fold content, not body) still
-      validate and their entries survive.
-    - {e root replay entries} ([root/]): the complete result of analysing
-      one callgraph root (reports, counter deltas, annotation deltas,
+    - {e function-summary entries}: one per defined function, carrying
+      the block and suffix summaries plus returned-state keys. Each entry
+      holds two fingerprints: the {e key}, a digest of the function's own
+      body, the file-scope declarations, its callees' summary {e content}
+      hashes, and the relevant annotation state; and the {e content}
+      hash, a digest of the summaries the entry actually records. The two
+      levels are what give early cutoff: when an edit changes a
+      function's body but recomputation produces the same content hash,
+      callers' keys (which fold content, not body) still validate and
+      their entries survive.
+    - {e root replay entries}: the complete result of analysing one
+      callgraph root (reports, counter deltas, annotation deltas,
       traversed set, stat counters), keyed by the content hashes of the
       root's transitive closure. A warm run replays valid roots verbatim
       and recomputes only invalid ones, which is what makes warm output
@@ -25,11 +25,30 @@
       traversal would take summary hits that suppress exactly the
       re-traversals that emit reports.
 
-    Entries are versioned, length-prefixed binary frames ({!Wire}); the
-    sexp renderings survive only as the [cache dump] debugging view. All
-    writes are atomic (tmp + rename in the target directory), so a store
-    may be shared by concurrent runs. Unreadable, truncated, or
-    mismatched entries degrade to misses, never to errors. *)
+    {b Layout.} All entries of one extension key live in one pack file,
+    [DIR/pack/<ext_key>.bin]: a sequence of {!Wire} frames, each holding
+    a kind, a name, a header (a function entry's key, content hash and
+    returned-state keys; a root entry's key), the payload bytes, and a
+    digest of the frame. A handle reads a pack with one read the first
+    time its extension is touched and indexes the frames by name. A probe
+    decodes only the header and checks the digest; a function entry's
+    summary arrays are decoded lazily ({!fn_summaries}), only when the
+    engine seeds a recomputed caller from them. A damaged frame fails its
+    digest and is a miss for that entry alone; a truncated pack loses only
+    the frames past the cut. No store input is ever an error.
+
+    {b Writes} land in the handle's tables and reach disk once, at
+    {!flush} (the end of a cached [Engine.run]): each dirty pack is
+    rewritten, untouched frames copied as raw bytes, fresh entries
+    encoded, atomically (tmp + rename). When the file changed since it was
+    read, the writer re-reads it first and keeps the entries another
+    process wrote in between. Two flushes that overlap can still lose one
+    side's entries; those become misses on the next run, never wrong
+    replays, since every entry is validated against its key.
+
+    {b Domains.} Lazy payloads are forced only on the main domain: the
+    engine probes the store and seeds canonical recomputes sequentially,
+    before and after the per-root pool runs, never inside it. *)
 
 type t
 
@@ -60,13 +79,14 @@ val create :
   dir:string -> ?persist:bool -> ?memory:bool -> ext_keys:Fingerprint.t list -> unit -> t
 (** [persist] (default true): when false nothing is written to disk —
     warm hits still replay but on-disk entries are never updated.
-    [memory] (default false): keep every entry that passes through the
-    store decoded in process memory, so repeat probes skip both the disk
-    read and the binary decode. A long-lived daemon opens its store with
-    [memory:true]; combined with [persist:false] this yields a fully
-    in-memory incremental store that never touches disk (the first probe
-    of each entry still consults [dir], so an existing on-disk store
-    warms the tables). [ext_keys] must align positionally with the
+    [memory] (default false): keep the pack tables, and every entry
+    decoded from them, across runs, so repeat probes skip both the disk
+    read and the binary decode. Without it the tables last one run: the
+    next run re-reads the packs and sees what other processes wrote. A
+    long-lived daemon opens its store with [memory:true]; combined with
+    [persist:false] this yields a fully in-memory incremental store that
+    never touches disk (the first probe of each extension still reads its
+    pack from [dir], so an existing on-disk store warms the tables). [ext_keys] must align positionally with the
     extension list handed to [Engine.run]. When persisting, stamps
     [dir/VERSION] with {!store_version}. *)
 
@@ -88,7 +108,7 @@ val disk_persist : t -> bool
 val in_memory : t -> bool
 
 val mem_entries : t -> int
-(** Decoded entries currently held by the in-memory overlay (0 for a
+(** Entries currently held by a memory store's pack tables (0 for a
     disk-only store) — observability for the daemon's [stats] reply. *)
 
 val stats : t -> stats
@@ -107,20 +127,27 @@ type fn_entry = {
   f_name : string;
   f_key : Fingerprint.t;
   f_content : Fingerprint.t;
-  f_bs : Summary.t array;
-  f_sfx : Summary.t array;
   f_rets : string list;
+  f_sums : (Summary.t array * Summary.t array) Lazy.t;
+      (** block and suffix summaries, decoded on first force — main
+          domain only; read them through {!fn_summaries} *)
 }
 
 type probe = Hit of fn_entry | Stale of Fingerprint.t | Absent
-(** [Hit] carries the decoded entry (the canonical pass seeds callers
-    from it without re-reading). [Stale] carries the {e old} content
-    hash, so after recomputation the engine can detect that the content
-    did not actually change and count the cutoff. *)
+(** [Hit] carries the entry with its summaries still undecoded (the
+    canonical pass seeds callers from them without re-reading). [Stale]
+    carries the {e old} content hash, so after recomputation the engine
+    can detect that the content did not actually change and count the
+    cutoff. *)
 
 val probe_fn : t -> ext:Fingerprint.t -> fname:string -> key:Fingerprint.t -> probe
-(** Decode the stored entry for [fname] and validate its key (bumps
-    [fn_*] stats). Corrupt or mismatched-name entries are [Absent]. *)
+(** Decode the header of the stored entry for [fname], check its digest
+    and validate its key (bumps [fn_*] stats). A damaged entry is
+    [Absent]. *)
+
+val fn_summaries : fn_entry -> (Summary.t array * Summary.t array) option
+(** Force an entry's summaries; [None] if the payload does not decode.
+    Call on the main domain only. *)
 
 val store_fn :
   t ->
@@ -158,7 +185,14 @@ val load_root :
 (** Bumps [roots_replayed] on a hit, [roots_recomputed] otherwise. *)
 
 val store_root : t -> ext:Fingerprint.t -> root_entry -> unit
-(** No-op when the store was opened with [persist:false]. *)
+(** [store_fn] and [store_root] update the handle's tables; disk sees the
+    entry at the next {!flush}. No-ops when {!persist} is false. *)
+
+val flush : t -> unit
+(** End of run: write every dirty pack when the store writes to disk, then
+    drop the tables unless the store was opened with [memory:true].
+    Write failures are swallowed — the entries are simply misses next
+    time. *)
 
 (** {1 Inspection (the [cache stats] / [cache dump] CLI)} *)
 
@@ -179,8 +213,11 @@ type disk = {
 }
 
 val disk_stats : dir:string -> disk
-(** Count entry files and bytes per kind without decoding anything. *)
+(** Count AST object files, and summary and root entries (pack frames,
+    counted from the framing without decoding headers or payloads), with
+    their bytes. For the two pack kinds [dk_files] counts entries. *)
 
-val dump_entry : string -> (Sexp.t, string) result
-(** Decode one entry file (kind recognised by magic) and render it as a
-    sexp for human inspection. *)
+val dump_pack : string -> (Sexp.t list, string) result
+(** Decode every entry of one pack file and render each as a sexp for
+    human inspection; a damaged frame renders as [(damaged NAME reason)].
+    [Error] when the file is not a pack. *)

@@ -401,7 +401,7 @@ let suite =
         let _ = Engine.run ~cache:ro sg (free ()) in
         Alcotest.(check bool)
           "no entries written" true
-          (not (Sys.file_exists (Filename.concat dir "root")));
+          (not (Sys.file_exists (Filename.concat dir "pack")));
         (* a second read-only run still misses — nothing was persisted *)
         let ro2 =
           Summary_store.create ~dir ~persist:false
@@ -453,16 +453,17 @@ let suite =
         let sg = sg_of_files [ ("c.c", leaf_v1) ] in
         let uncached = Engine.run sg (free ()) in
         let _ = Engine.run ~cache:(store_over dir) sg (free ()) in
-        (* tamper: still a well-formed sexp of the right shape, but with a
-           non-numeric stat atom — decoding raises Failure, which must read
-           as a miss rather than abort the run *)
-        let rootdir = Filename.concat dir "root" in
-        Array.iter
-          (fun f ->
-            let oc = open_out (Filename.concat rootdir f) in
-            output_string oc "(root caller x () () () () (zz))\n";
-            close_out oc)
-          (Sys.readdir rootdir);
+        (* tamper: every root frame stays well-formed, with a digest that
+           matches, but its payload is a nonsense list length — decoding
+           raises, which must read as a miss rather than abort the run *)
+        List.iter
+          (fun path ->
+            Pack_fixture.write path
+              (List.map
+                 (fun (f : Pack_fixture.frame) ->
+                   if f.kind = 'R' then { f with payload = "\xff\xff\xff\x7f" } else f)
+                 (Pack_fixture.frames path)))
+          (Pack_fixture.packs dir);
         let store = store_over dir in
         let warm = Engine.run ~cache:store sg (free ()) in
         Alcotest.(check int)
@@ -486,34 +487,28 @@ let suite =
             Alcotest.(check (list string))
               "rets round-trip" [ "rs" ] e.Summary_store.f_rets
         | _ -> Alcotest.fail "expected a hit on the intact entry");
-        let sumdir = Filename.concat dir "sum" in
-        let mangle f =
-          let path = Filename.concat sumdir f in
-          let ic = open_in_bin path in
-          let len = in_channel_length ic in
-          let data = really_input_string ic len in
-          close_in ic;
-          path, data
-        in
-        Array.iter
-          (fun f ->
-            let path, data = mangle f in
-            (* truncated mid-frame: the length-prefixed decoder must raise
+        Summary_store.flush store;
+        (* each probe below goes through a fresh handle, which reads the
+           pack as it is on disk now *)
+        let probe () = Summary_store.probe_fn (store_over dir) ~ext ~fname:"f" ~key in
+        (match probe () with
+        | Summary_store.Hit _ -> ()
+        | _ -> Alcotest.fail "expected a hit on the flushed entry");
+        List.iter
+          (fun path ->
+            let data = Pack_fixture.read_file path in
+            (* truncated mid-frame: the length-prefixed framing must raise
                Corrupt, which probes as a miss *)
-            let oc = open_out_bin path in
-            output_string oc (String.sub data 0 (String.length data / 2));
-            close_out oc;
-            (match Summary_store.probe_fn store ~ext ~fname:"f" ~key with
+            Pack_fixture.write_file path (String.sub data 0 (String.length data / 2));
+            (match probe () with
             | Summary_store.Absent -> ()
             | _ -> Alcotest.fail "truncated entry must probe Absent");
             (* wrong magic / non-binary garbage *)
-            let oc = open_out_bin path in
-            output_string oc "(fn f c () ())\n";
-            close_out oc;
-            match Summary_store.probe_fn store ~ext ~fname:"f" ~key with
+            Pack_fixture.write_file path "(fn f c () ())\n";
+            match probe () with
             | Summary_store.Absent -> ()
             | _ -> Alcotest.fail "garbage entry must probe Absent")
-          (Sys.readdir sumdir));
+          (Pack_fixture.packs dir));
     t "binary summary round-trip is lossless" `Quick (fun () ->
         let src =
           "int use(int *p, int c) { if (c) { kfree(p); } return *p; }\n\
@@ -632,4 +627,134 @@ let suite =
         Alcotest.(check int)
           "warm run replays every root" 0
           (Summary_store.stats warm_store).Summary_store.roots_recomputed);
-  ]
+      t "a flipped payload byte misses only its own entry" `Quick (fun () ->
+        let dir = temp_dir () in
+        let store = store_over dir in
+        let ext = Summary_store.ext_key store 0 in
+        let key name = Fingerprint.of_string ("k-" ^ name) in
+        let names = [ "f1"; "f2"; "f3" ] in
+        List.iter
+          (fun name ->
+            Summary_store.store_fn store ~ext ~fname:name ~key:(key name)
+              ~content:(Fingerprint.of_string ("c-" ^ name))
+              ~bs:[| Summary.create () |]
+              ~sfx:[| Summary.create () |]
+              ~rets:[ name ])
+          names;
+        Summary_store.flush store;
+        (match Pack_fixture.packs dir with
+        | [ path ] -> Pack_fixture.flip_payload_byte path ~kind:'F' ~name:"f2"
+        | ps -> Alcotest.failf "expected one pack, found %d" (List.length ps));
+        let fresh = store_over dir in
+        List.iter
+          (fun name ->
+            match (name, Summary_store.probe_fn fresh ~ext ~fname:name ~key:(key name)) with
+            | "f2", Summary_store.Absent -> ()
+            | "f2", _ -> Alcotest.fail "the damaged entry must probe Absent"
+            | _, Summary_store.Hit e ->
+                (* a hit decodes the header only *)
+                Alcotest.(check bool)
+                  (name ^ " summaries not decoded by the probe") false
+                  (Lazy.is_val e.Summary_store.f_sums);
+                Alcotest.(check (list string)) (name ^ " rets") [ name ] e.Summary_store.f_rets;
+                Alcotest.(check bool)
+                  (name ^ " summaries decode on demand") true
+                  (Summary_store.fn_summaries e <> None)
+            | _, _ -> Alcotest.failf "sibling %s must still hit" name)
+          names);
+    t "caller edit seeds its recompute from a lazily decoded callee" `Quick
+      (fun () ->
+        (* leaf stays valid, so its entry is a hit whose summaries are
+           decoded only to seed the recompute of the edited mid (and then
+           top, whose key folds mid's new content) *)
+        let v1 =
+          "static void leaf(int *p) { kfree(p); }\n\
+           static void mid(int *p) { leaf(p); }\n\
+           int top(int n) { int *x = kmalloc(n); mid(x); return 0; }\n\
+           int unrelated(int n) { int *y = kmalloc(n); kfree(y); return *y; }\n"
+        in
+        let v2 =
+          "static void leaf(int *p) { kfree(p); }\n\
+           static void mid(int *p) { leaf(p); *p = 1; }\n\
+           int top(int n) { int *x = kmalloc(n); mid(x); return 0; }\n\
+           int unrelated(int n) { int *y = kmalloc(n); kfree(y); return *y; }\n"
+        in
+        let dir = temp_dir () in
+        let _ =
+          Engine.run ~cache:(store_over dir) (sg_of_files [ ("ce.c", v1) ]) (free ())
+        in
+        let store = store_over dir in
+        let warm = Engine.run ~cache:store (sg_of_files [ ("ce.c", v2) ]) (free ()) in
+        let st = Summary_store.stats store in
+        Alcotest.(check int) "leaf and unrelated hit" 2 st.Summary_store.fn_hits;
+        Alcotest.(check int) "mid and top recomputed" 2 st.Summary_store.fns_recomputed;
+        Alcotest.(check int) "mid's content changed" 0 st.Summary_store.sums_unchanged;
+        Alcotest.(check int) "top recomputes" 1 st.Summary_store.roots_recomputed;
+        Alcotest.(check int) "unrelated replays" 1 st.Summary_store.roots_replayed;
+        let uncached = Engine.check_source ~file:"ce.c" v2 (free ()) in
+        Alcotest.(check (list string))
+          "edited run = uncached -j1" (report_lines uncached) (report_lines warm);
+        (* the recompute seeded from decoded bytes matches a cold run of
+           v2 exactly: same keys, content hashes and summaries *)
+        let cold_dir = temp_dir () in
+        let _ =
+          Engine.run ~cache:(store_over cold_dir) (sg_of_files [ ("ce.c", v2) ]) (free ())
+        in
+        Alcotest.(check (list string))
+          "store after the edit = store of a cold run"
+          (List.map Pack_fixture.read_file (Pack_fixture.packs cold_dir))
+          (List.map Pack_fixture.read_file (Pack_fixture.packs dir)));
+    t "two handles flushing in turn keep both entry sets" `Quick (fun () ->
+        let dir = temp_dir () in
+        let h1 = store_over dir and h2 = store_over dir in
+        let ext = Summary_store.ext_key h1 0 in
+        let key = Fingerprint.of_string "k" in
+        let put h name =
+          Summary_store.store_fn h ~ext ~fname:name ~key
+            ~content:(Fingerprint.of_string name)
+            ~bs:[||] ~sfx:[||] ~rets:[]
+        in
+        (* both handles have read the (empty) pack before either writes *)
+        put h1 "base";
+        Summary_store.flush h1;
+        let h1 = store_over dir in
+        List.iter
+          (fun h ->
+            ignore (Summary_store.probe_fn h ~ext ~fname:"base" ~key))
+          [ h1; h2 ];
+        put h1 "one";
+        Summary_store.flush h1;
+        put h2 "two";
+        Summary_store.flush h2;
+        let h3 = store_over dir in
+        List.iter
+          (fun name ->
+            match Summary_store.probe_fn h3 ~ext ~fname:name ~key with
+            | Summary_store.Hit _ -> ()
+            | _ -> Alcotest.failf "%s lost by the second flush" name)
+          [ "base"; "one"; "two" ]);
+    t "a cold cached run leaves one pack per extension key" `Quick (fun () ->
+        let dir = temp_dir () in
+        let names = [ "pathkill"; "free"; "leak" ] in
+        let store = store_for names dir in
+        let _ =
+          Engine.run ~cache:store (sg_of_files [ ("cp.c", compose_v1) ]) (checkers names)
+        in
+        Alcotest.(check (list string))
+          "pack files"
+          (List.sort String.compare
+             (List.mapi (fun i _ -> Summary_store.ext_key store i ^ ".bin") names))
+          (List.map Filename.basename (Pack_fixture.packs dir));
+        List.iter
+          (fun path ->
+            Alcotest.(check bool)
+              (Filename.basename path ^ " holds summary and root entries") true
+              (let fs = Pack_fixture.frames path in
+               List.exists (fun (f : Pack_fixture.frame) -> f.kind = 'F') fs
+               && List.exists (fun (f : Pack_fixture.frame) -> f.kind = 'R') fs))
+          (Pack_fixture.packs dir);
+        Alcotest.(check (list string))
+          "nothing else in the store"
+          [ "VERSION"; "last-run"; "pack" ]
+          (List.sort String.compare (Array.to_list (Sys.readdir dir))));
+]

@@ -1,7 +1,7 @@
 (* The analysis daemon: protocol decode, edit-storm coalescing,
    byte-identity of warm diagnostics against a cold batch run, restart
-   recovery from the persisted store (including a store a crash left
-   torn), concurrent batch runs against the same cache dir, and the
+   recovery from the persisted store (including a store with a damaged
+   entry), concurrent batch runs against the same cache dir, and the
    stale-snapshot / per-request Diag plumbing the daemon relies on. *)
 
 let t = Alcotest.test_case
@@ -250,12 +250,11 @@ let restart_recovery () =
   let s1 = mk_server ~store:(mk_store ~dir:cache ~persist:true) [ a; b ] in
   let r1 = req s1 ~more_pending:false Proto.Check in
   let _queued = req s1 ~more_pending:true (did_change ~path:a ~text:a_src_buggy) in
-  (* a crash mid-recheck can also leave a torn entry: emulate the torn
-     write surviving a rename-free store by truncating one entry file *)
-  let sum_dir = Filename.concat cache "sum" in
-  (match Sys.readdir sum_dir with
-  | [||] -> Alcotest.fail "no persisted summary entries"
-  | entries -> write_file (Filename.concat sum_dir entries.(0)) "XGFN1\ntorn");
+  (* a crash can also leave a damaged entry: emulate it surviving the
+     atomic pack rewrite by flipping a byte inside one root's frame *)
+  (match Pack_fixture.packs cache with
+  | [ pack ] -> Pack_fixture.flip_payload_byte pack ~kind:'R' ~name:"fine"
+  | ps -> Alcotest.failf "expected one persisted pack, found %d" (List.length ps));
   (* restart: overlay is gone (it lived in the dead process), disk tree
      is authoritative, persisted store warms the new daemon *)
   let s2 = mk_server ~store:(mk_store ~dir:cache ~persist:true) [ a; b ] in
@@ -264,9 +263,11 @@ let restart_recovery () =
     (sfield r1 "diagnostics") (sfield r2 "diagnostics");
   Alcotest.(check string) "restart matches batch" (cold_check [ a; b ])
     (sfield r2 "diagnostics");
-  (* everything except the torn entry's root replays from the store *)
+  (* everything except the damaged entry's root replays from the store *)
   Alcotest.(check bool) "store warms the restart" true
-    (ifield r2 "roots_replayed" > 0)
+    (ifield r2 "roots_replayed" > 0);
+  Alcotest.(check int) "only the damaged root recomputes" 1
+    (ifield r2 "roots_recomputed")
 
 let concurrent_batch_check () =
   let dir, a, b = mk_corpus () in

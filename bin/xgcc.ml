@@ -12,12 +12,7 @@
 
 open Cmdliner
 
-let read_file path =
-  let ic = open_in_bin path in
-  let n = in_channel_length ic in
-  let s = really_input_string ic n in
-  close_in ic;
-  s
+let read_file path = In_channel.with_open_bin path In_channel.input_all
 
 (* Preprocessing configuration shared by check/emit/triage. *)
 let cpp_conf = ref None (* (defines, include dirs) *)
@@ -56,47 +51,58 @@ let set_ast_cache ~cache_dir ~persist =
 (* Pass 2 (Section 6): .mcast files are pre-parsed ASTs emitted by pass 1
    ('xgcc emit'); anything else is (optionally preprocessed and) parsed
    from C source — via the content-addressed object cache when
-   --cache-dir is given, so a warm run skips lexing and parsing. *)
-let load_tunit f =
-  if Filename.check_suffix f ".mcast" then Cast_io.read_file f
-  else begin
-    let src = read_file f in
-    let src =
-      match !cpp_conf with
-      | None -> src
-      | Some (defines, incdirs) ->
-          Cpp.preprocess ~defines ~resolve_include:(resolve_include incdirs) ~file:f src
-    in
-    match !ast_cache_conf with
-    | None -> Cparse.parse_tunit ~file:f src
-    | Some (cache_dir, persist) -> (
-        let fp = Cast_io.ast_fingerprint ~file:f ~source:src in
-        match Cast_io.read_cached ~cache_dir fp with
-        | Some tu ->
-            Atomic.incr ast_hits;
-            tu
-        | None ->
-            Atomic.incr ast_misses;
-            let tu = Cparse.parse_tunit ~file:f src in
-            if persist then Cast_io.write_cached ~cache_dir fp tu;
-            tu)
-  end
-
-(* Fault-contained loading for 'check': a file that cannot be loaded at
-   all — corrupt .mcast, lexical error, structural cpp error, I/O error —
-   is skipped with a diagnostic instead of aborting the whole run.
-   Definition-level parse errors never reach here: the parser recovers
-   in-place and records Gskipped stubs (warned about by Supergraph.build). *)
-let load_tunit_result f =
-  if Filename.check_suffix f ".mcast" then Cast_io.read_file_result f
+   --cache-dir is given, so a warm run skips lexing and parsing. The
+   daemon passes editor-buffer overlays as [source], so this never
+   re-reads [path] itself. A whole unit that cannot be loaded — corrupt
+   .mcast, lexical error, structural cpp error — is an [Error];
+   definition-level parse errors never reach here: the parser recovers
+   in-place and records Gskipped stubs (warned about by
+   Supergraph.build). *)
+let parse_source ~path ~source =
+  if Filename.check_suffix path ".mcast" then Cast_io.read_string source
   else
-    match load_tunit f with
+    match
+      let src =
+        match !cpp_conf with
+        | None -> source
+        | Some (defines, incdirs) ->
+            Cpp.preprocess ~defines
+              ~resolve_include:(resolve_include incdirs)
+              ~file:path source
+      in
+      match !ast_cache_conf with
+      | None -> Cparse.parse_tunit ~file:path src
+      | Some (cache_dir, persist) -> (
+          let fp = Cast_io.ast_fingerprint ~file:path ~source:src in
+          match Cast_io.read_cached ~cache_dir fp with
+          | Some tu ->
+              Atomic.incr ast_hits;
+              tu
+          | None ->
+              Atomic.incr ast_misses;
+              let tu = Cparse.parse_tunit ~file:path src in
+              if persist then Cast_io.write_cached ~cache_dir fp tu;
+              tu)
+    with
     | tu -> Ok tu
     | exception Clex.Lex_error (loc, msg) ->
         Error (Printf.sprintf "%s: lexical error: %s" (Srcloc.to_string loc) msg)
     | exception Cpp.Cpp_error (loc, msg) ->
         Error (Printf.sprintf "%s: preprocessor error: %s" (Srcloc.to_string loc) msg)
     | exception Sys_error msg -> Error msg
+
+(* Fault-contained loading for 'check' and 'emit': a file that cannot be
+   loaded at all is skipped with a diagnostic instead of aborting the
+   whole run. *)
+let load_tunit_result f =
+  match read_file f with
+  | source -> parse_source ~path:f ~source
+  | exception Sys_error msg -> Error msg
+
+let load_tunit f =
+  match load_tunit_result f with
+  | Ok tu -> tu
+  | Error msg -> failwith (Printf.sprintf "%s: %s" f msg)
 
 let load_program files = Supergraph.build (List.map load_tunit files)
 
@@ -740,11 +746,13 @@ let do_emit files outdir use_cpp defines incdirs jobs cache_dir no_cache_persist
   set_ast_cache ~cache_dir ~persist:(not no_cache_persist);
   (* Pass-1 per-file emission is embarrassingly parallel: each task
      preprocesses, parses and writes one file; messages are printed in
-     input order afterwards so the output is scheduling-independent, and
-     when several files fail the lowest-index failure is the one raised.
-     Output names come from emit_targets, which keeps the plain basename
-     unless two inputs share it (a/util.c and b/util.c used to silently
-     overwrite each other) and errors on residual collisions. *)
+     input order afterwards so the output is scheduling-independent. A
+     file that cannot be loaded is skipped with the same warning 'check'
+     gives (exit 3); when tasks raise, the lowest-index exception is the
+     one re-raised. Output names come from emit_targets, which keeps the
+     plain basename unless two inputs share it (a/util.c and b/util.c
+     used to silently overwrite each other) and errors on residual
+     collisions. *)
   let targets =
     try Array.of_list (Cast_io.emit_targets files)
     with Invalid_argument msg ->
@@ -755,15 +763,25 @@ let do_emit files outdir use_cpp defines incdirs jobs cache_dir no_cache_persist
     Pool.run_sched ~jobs:(effective_jobs jobs) (Array.length targets)
       (fun ~worker:_ i ->
         let f, base = targets.(i) in
-        let tu = load_tunit f in
-        let out = Filename.concat outdir base in
-        Cast_io.emit_file out tu;
-        out)
+        Result.map
+          (fun tu ->
+            let out = Filename.concat outdir base in
+            Cast_io.emit_file out tu;
+            out)
+          (load_tunit_result f))
   in
   let outputs = Array.map (function Ok out -> out | Error e -> raise e) results in
+  let skipped = ref 0 in
   Array.iteri
-    (fun i out -> Format.printf "%s -> %s@." (fst targets.(i)) out)
-    outputs
+    (fun i out ->
+      let f = fst targets.(i) in
+      match out with
+      | Ok out -> Format.printf "%s -> %s@." f out
+      | Error msg ->
+          Diag.warnf "%s: skipping entire file: %s" f msg;
+          incr skipped)
+    outputs;
+  if !skipped > 0 then exit 3
 
 let emit_cmd =
   let files = Arg.(non_empty & pos_all file [] & info [] ~docv:"FILE.c") in
@@ -836,21 +854,17 @@ let do_cache_dump files =
   List.iter
     (fun path ->
       (* file kind is recognised by magic: summary-store packs (one line
-         per entry) first, then binary AST cache objects, then emitted
-         sexp .mcast files *)
+         per entry), else AST files (emitted .mcast files and AST cache
+         objects are one format) *)
       match Summary_store.dump_pack path with
       | Ok sxs -> List.iter (fun sx -> Format.printf "%s@." (Sexp.to_string sx)) sxs
-      | Error store_err -> (
-          match Cast_io.read_cached_file path with
+      | Error _ -> (
+          match Cast_io.read_file path with
           | Ok tu ->
               Format.printf "%s@." (Sexp.to_string (Cast_io.tunit_to_sexp tu))
-          | Error _ -> (
-              match Cast_io.read_file_result path with
-              | Ok tu ->
-                  Format.printf "%s@." (Sexp.to_string (Cast_io.tunit_to_sexp tu))
-              | Error _ ->
-                  Format.eprintf "%s: %s@." path store_err;
-                  failed := true)))
+          | Error msg ->
+              Format.eprintf "%s: not a summary pack, and %s@." path msg;
+              failed := true))
     files;
   if !failed then exit 2
 
@@ -867,8 +881,8 @@ let cache_dump_cmd =
   Cmd.v
     (Cmd.info "dump"
        ~doc:"Decode binary cache files (summary-store packs, one line per \
-             function-summary or root replay entry; AST objects) and print \
-             them as sexps")
+             function-summary or root replay entry; AST files, emitted \
+             .mcast or cached) and print them as sexps")
     Term.(const do_cache_dump $ files)
 
 let cache_cmd =
@@ -939,48 +953,6 @@ let triage_cmd =
 (* ------------------------------------------------------------------ *)
 (* serve (long-lived analysis daemon)                                  *)
 (* ------------------------------------------------------------------ *)
-
-(* Parse one in-memory source the way load_tunit would load it from disk.
-   The daemon substitutes editor-buffer overlays for file contents, so
-   the front end must never re-read the path itself. *)
-let parse_source ~path ~source =
-  if Filename.check_suffix path ".mcast" then
-    match Cast_io.read_string source with
-    | tu -> Ok tu
-    | exception
-        (( Sexp.Parse_error _ | Sexp.Decode_error _ | Failure _
-         | Invalid_argument _ | End_of_file ) as e) ->
-        Error (Printexc.to_string e)
-  else
-    match
-      let src =
-        match !cpp_conf with
-        | None -> source
-        | Some (defines, incdirs) ->
-            Cpp.preprocess ~defines
-              ~resolve_include:(resolve_include incdirs)
-              ~file:path source
-      in
-      match !ast_cache_conf with
-      | None -> Cparse.parse_tunit ~file:path src
-      | Some (cache_dir, persist) -> (
-          let fp = Cast_io.ast_fingerprint ~file:path ~source:src in
-          match Cast_io.read_cached ~cache_dir fp with
-          | Some tu ->
-              Atomic.incr ast_hits;
-              tu
-          | None ->
-              Atomic.incr ast_misses;
-              let tu = Cparse.parse_tunit ~file:path src in
-              if persist then Cast_io.write_cached ~cache_dir fp tu;
-              tu)
-    with
-    | tu -> Ok tu
-    | exception Clex.Lex_error (loc, msg) ->
-        Error (Printf.sprintf "%s: lexical error: %s" (Srcloc.to_string loc) msg)
-    | exception Cpp.Cpp_error (loc, msg) ->
-        Error (Printf.sprintf "%s: preprocessor error: %s" (Srcloc.to_string loc) msg)
-    | exception Sys_error msg -> Error msg
 
 let do_serve files checkers metal_files rank verbose use_cpp defines incdirs
     jobs cache_dir no_cache_persist socket debounce no_cache no_prune

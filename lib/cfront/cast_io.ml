@@ -1,14 +1,15 @@
+(* ------------------------------------------------------------------ *)
+(* Dump rendering                                                       *)
+(* ------------------------------------------------------------------ *)
+
+(* Print-only s-expressions of the AST, for [xgcc cache dump] and the
+   expression trees inside summary dumps; nothing parses them back. *)
+
 let s = Sexp.atom
 let l = Sexp.list
 
 let loc_to_sexp (loc : Srcloc.t) =
   l [ s "@"; s loc.file; s (string_of_int loc.line); s (string_of_int loc.col) ]
-
-let loc_of_sexp sx =
-  match sx with
-  | Sexp.List [ Sexp.Atom "@"; Sexp.Atom file; Sexp.Atom line; Sexp.Atom col ] ->
-      Srcloc.make ~file ~line:(int_of_string line) ~col:(int_of_string col)
-  | _ -> raise (Sexp.Decode_error "bad location")
 
 (* ------------------------------------------------------------------ *)
 (* Types                                                               *)
@@ -20,14 +21,6 @@ let int_size_to_string = function
   | Ctyp.Iint -> "int"
   | Ctyp.Ilong -> "long"
   | Ctyp.Ilonglong -> "llong"
-
-let int_size_of_string = function
-  | "char" -> Ctyp.Ichar
-  | "short" -> Ctyp.Ishort
-  | "int" -> Ctyp.Iint
-  | "long" -> Ctyp.Ilong
-  | "llong" -> Ctyp.Ilonglong
-  | other -> raise (Sexp.Decode_error ("bad int size " ^ other))
 
 let rec ctyp_to_sexp = function
   | Ctyp.Void -> s "void"
@@ -48,28 +41,6 @@ let rec ctyp_to_sexp = function
   | Ctyp.Enum name -> l [ s "enum"; s name ]
   | Ctyp.Named name -> l [ s "named"; s name ]
 
-let rec ctyp_of_sexp sx =
-  match sx with
-  | Sexp.Atom "void" -> Ctyp.Void
-  | Sexp.Atom "?" -> Ctyp.Unknown
-  | Sexp.Atom "float" -> Ctyp.Float Ctyp.Ffloat
-  | Sexp.Atom "double" -> Ctyp.Float Ctyp.Fdouble
-  | Sexp.List [ Sexp.Atom "int"; Sexp.Atom sign; Sexp.Atom size ] ->
-      Ctyp.Int { signed = String.equal sign "s"; size = int_size_of_string size }
-  | Sexp.List [ Sexp.Atom "ptr"; t ] -> Ctyp.Ptr (ctyp_of_sexp t)
-  | Sexp.List [ Sexp.Atom "arr"; t ] -> Ctyp.Array (ctyp_of_sexp t, None)
-  | Sexp.List [ Sexp.Atom "arr"; t; Sexp.Atom n ] ->
-      Ctyp.Array (ctyp_of_sexp t, Some (int_of_string n))
-  | Sexp.List (Sexp.Atom "func" :: r :: ps) ->
-      Ctyp.Func (ctyp_of_sexp r, List.map ctyp_of_sexp ps, false)
-  | Sexp.List (Sexp.Atom "vfunc" :: r :: ps) ->
-      Ctyp.Func (ctyp_of_sexp r, List.map ctyp_of_sexp ps, true)
-  | Sexp.List [ Sexp.Atom "struct"; Sexp.Atom n ] -> Ctyp.Struct n
-  | Sexp.List [ Sexp.Atom "union"; Sexp.Atom n ] -> Ctyp.Union n
-  | Sexp.List [ Sexp.Atom "enum"; Sexp.Atom n ] -> Ctyp.Enum n
-  | Sexp.List [ Sexp.Atom "named"; Sexp.Atom n ] -> Ctyp.Named n
-  | other -> raise (Sexp.Decode_error ("bad type " ^ Sexp.to_string other))
-
 (* ------------------------------------------------------------------ *)
 (* Expressions                                                         *)
 (* ------------------------------------------------------------------ *)
@@ -84,18 +55,6 @@ let unop_to_string = function
   | Cast.Predec -> "predec"
   | Cast.Postinc -> "postinc"
   | Cast.Postdec -> "postdec"
-
-let unop_of_string = function
-  | "neg" -> Cast.Neg
-  | "not" -> Cast.Lognot
-  | "bnot" -> Cast.Bitnot
-  | "deref" -> Cast.Deref
-  | "addr" -> Cast.Addrof
-  | "preinc" -> Cast.Preinc
-  | "predec" -> Cast.Predec
-  | "postinc" -> Cast.Postinc
-  | "postdec" -> Cast.Postdec
-  | other -> raise (Sexp.Decode_error ("bad unop " ^ other))
 
 let binop_to_string = function
   | Cast.Add -> "add"
@@ -116,27 +75,6 @@ let binop_to_string = function
   | Cast.Bxor -> "bxor"
   | Cast.Land -> "land"
   | Cast.Lor -> "lor"
-
-let binop_of_string = function
-  | "add" -> Cast.Add
-  | "sub" -> Cast.Sub
-  | "mul" -> Cast.Mul
-  | "div" -> Cast.Div
-  | "mod" -> Cast.Mod
-  | "shl" -> Cast.Shl
-  | "shr" -> Cast.Shr
-  | "lt" -> Cast.Lt
-  | "gt" -> Cast.Gt
-  | "le" -> Cast.Le
-  | "ge" -> Cast.Ge
-  | "eq" -> Cast.Eq
-  | "ne" -> Cast.Ne
-  | "band" -> Cast.Band
-  | "bor" -> Cast.Bor
-  | "bxor" -> Cast.Bxor
-  | "land" -> Cast.Land
-  | "lor" -> Cast.Lor
-  | other -> raise (Sexp.Decode_error ("bad binop " ^ other))
 
 let rec expr_to_sexp (e : Cast.expr) =
   let node =
@@ -166,45 +104,6 @@ let rec expr_to_sexp (e : Cast.expr) =
   in
   l [ node; loc_to_sexp e.eloc ]
 
-let rec expr_of_sexp sx =
-  match sx with
-  | Sexp.List [ node; locx ] ->
-      let loc = loc_of_sexp locx in
-      let enode =
-        match node with
-        | Sexp.List [ Sexp.Atom "i"; Sexp.Atom n ] -> Cast.Eint (Int64.of_string n)
-        | Sexp.List [ Sexp.Atom "f"; Sexp.Atom f ] -> Cast.Efloat (float_of_string f)
-        | Sexp.List [ Sexp.Atom "c"; Sexp.Atom n ] -> Cast.Echar (Char.chr (int_of_string n))
-        | Sexp.List [ Sexp.Atom "str"; Sexp.Atom str ] -> Cast.Estr str
-        | Sexp.List [ Sexp.Atom "v"; Sexp.Atom x ] -> Cast.Eident x
-        | Sexp.List [ Sexp.Atom "u"; Sexp.Atom u; e1 ] ->
-            Cast.Eunary (unop_of_string u, expr_of_sexp e1)
-        | Sexp.List [ Sexp.Atom "b"; Sexp.Atom o; a; b ] ->
-            Cast.Ebinary (binop_of_string o, expr_of_sexp a, expr_of_sexp b)
-        | Sexp.List [ Sexp.Atom "set"; a; b ] ->
-            Cast.Eassign (None, expr_of_sexp a, expr_of_sexp b)
-        | Sexp.List [ Sexp.Atom "setop"; Sexp.Atom o; a; b ] ->
-            Cast.Eassign (Some (binop_of_string o), expr_of_sexp a, expr_of_sexp b)
-        | Sexp.List (Sexp.Atom "call" :: f :: args) ->
-            Cast.Ecall (expr_of_sexp f, List.map expr_of_sexp args)
-        | Sexp.List [ Sexp.Atom "fld"; e1; Sexp.Atom f ] -> Cast.Efield (expr_of_sexp e1, f)
-        | Sexp.List [ Sexp.Atom "arw"; e1; Sexp.Atom f ] -> Cast.Earrow (expr_of_sexp e1, f)
-        | Sexp.List [ Sexp.Atom "idx"; a; i ] ->
-            Cast.Eindex (expr_of_sexp a, expr_of_sexp i)
-        | Sexp.List [ Sexp.Atom "cast"; t; e1 ] ->
-            Cast.Ecast (ctyp_of_sexp t, expr_of_sexp e1)
-        | Sexp.List [ Sexp.Atom "cond"; c; t; f ] ->
-            Cast.Econd (expr_of_sexp c, expr_of_sexp t, expr_of_sexp f)
-        | Sexp.List [ Sexp.Atom "comma"; a; b ] ->
-            Cast.Ecomma (expr_of_sexp a, expr_of_sexp b)
-        | Sexp.List [ Sexp.Atom "szt"; t ] -> Cast.Esizeof_type (ctyp_of_sexp t)
-        | Sexp.List [ Sexp.Atom "sze"; e1 ] -> Cast.Esizeof_expr (expr_of_sexp e1)
-        | Sexp.List (Sexp.Atom "init" :: es) -> Cast.Einit_list (List.map expr_of_sexp es)
-        | other -> raise (Sexp.Decode_error ("bad expr " ^ Sexp.to_string other))
-      in
-      Cast.mk_expr ~loc enode
-  | other -> raise (Sexp.Decode_error ("bad expr wrapper " ^ Sexp.to_string other))
-
 (* ------------------------------------------------------------------ *)
 (* Statements                                                          *)
 (* ------------------------------------------------------------------ *)
@@ -213,13 +112,6 @@ let decl_to_sexp (d : Cast.decl) =
   l
     (s "d" :: s d.dname :: ctyp_to_sexp d.dtyp
     :: (match d.dinit with None -> [] | Some e -> [ expr_to_sexp e ]))
-
-let decl_of_sexp = function
-  | Sexp.List [ Sexp.Atom "d"; Sexp.Atom name; t ] ->
-      { Cast.dname = name; dtyp = ctyp_of_sexp t; dinit = None }
-  | Sexp.List [ Sexp.Atom "d"; Sexp.Atom name; t; init ] ->
-      { Cast.dname = name; dtyp = ctyp_of_sexp t; dinit = Some (expr_of_sexp init) }
-  | other -> raise (Sexp.Decode_error ("bad decl " ^ Sexp.to_string other))
 
 let rec stmt_to_sexp (st : Cast.stmt) =
   let node =
@@ -261,54 +153,6 @@ let rec stmt_to_sexp (st : Cast.stmt) =
     | Cast.Snull -> s "skip"
   in
   l [ node; loc_to_sexp st.sloc ]
-
-and stmt_of_sexp sx =
-  match sx with
-  | Sexp.List [ node; locx ] ->
-      let loc = loc_of_sexp locx in
-      let snode =
-        match node with
-        | Sexp.List [ Sexp.Atom "expr"; e ] -> Cast.Sexpr (expr_of_sexp e)
-        | Sexp.List (Sexp.Atom "decl" :: ds) -> Cast.Sdecl (List.map decl_of_sexp ds)
-        | Sexp.List [ Sexp.Atom "if"; c; t ] ->
-            Cast.Sif (expr_of_sexp c, stmt_of_sexp t, None)
-        | Sexp.List [ Sexp.Atom "ife"; c; t; e ] ->
-            Cast.Sif (expr_of_sexp c, stmt_of_sexp t, Some (stmt_of_sexp e))
-        | Sexp.List [ Sexp.Atom "while"; c; b ] ->
-            Cast.Swhile (expr_of_sexp c, stmt_of_sexp b)
-        | Sexp.List [ Sexp.Atom "do"; b; c ] -> Cast.Sdo (stmt_of_sexp b, expr_of_sexp c)
-        | Sexp.List [ Sexp.Atom "for"; init; c; step; b ] ->
-            let opt_stmt = function Sexp.Atom "_" -> None | sx -> Some (stmt_of_sexp sx) in
-            let opt_expr = function Sexp.Atom "_" -> None | sx -> Some (expr_of_sexp sx) in
-            Cast.Sfor (opt_stmt init, opt_expr c, opt_expr step, stmt_of_sexp b)
-        | Sexp.Atom "ret" -> Cast.Sreturn None
-        | Sexp.List [ Sexp.Atom "rete"; e ] -> Cast.Sreturn (Some (expr_of_sexp e))
-        | Sexp.List (Sexp.Atom "block" :: ss) -> Cast.Sblock (List.map stmt_of_sexp ss)
-        | Sexp.Atom "break" -> Cast.Sbreak
-        | Sexp.Atom "continue" -> Cast.Scontinue
-        | Sexp.List (Sexp.Atom "switch" :: e :: cases) ->
-            Cast.Sswitch
-              ( expr_of_sexp e,
-                List.map
-                  (function
-                    | Sexp.List (guard :: body) ->
-                        let case_guard =
-                          match guard with
-                          | Sexp.Atom "default" -> None
-                          | Sexp.Atom v -> Some (Int64.of_string v)
-                          | _ -> raise (Sexp.Decode_error "bad case guard")
-                        in
-                        { Cast.case_guard; case_body = List.map stmt_of_sexp body }
-                    | _ -> raise (Sexp.Decode_error "bad case"))
-                  cases )
-        | Sexp.List [ Sexp.Atom "goto"; Sexp.Atom label ] -> Cast.Sgoto label
-        | Sexp.List [ Sexp.Atom "label"; Sexp.Atom label; st1 ] ->
-            Cast.Slabel (label, stmt_of_sexp st1)
-        | Sexp.Atom "skip" -> Cast.Snull
-        | other -> raise (Sexp.Decode_error ("bad stmt " ^ Sexp.to_string other))
-      in
-      Cast.mk_stmt ~loc snode
-  | other -> raise (Sexp.Decode_error ("bad stmt wrapper " ^ Sexp.to_string other))
 
 (* ------------------------------------------------------------------ *)
 (* Globals and translation units                                       *)
@@ -361,121 +205,18 @@ let global_to_sexp = function
           s sk_msg;
         ]
 
-let named_typ_of_sexp = function
-  | Sexp.List [ Sexp.Atom n; t ] -> (n, ctyp_of_sexp t)
-  | _ -> raise (Sexp.Decode_error "bad named type")
-
-let global_of_sexp = function
-  | Sexp.List
-      [ Sexp.Atom "fun"; Sexp.Atom fname; ret; Sexp.List params; Sexp.Atom va;
-        Sexp.Atom st; locx; Sexp.Atom ffile; body ] ->
-      Cast.Gfun
-        {
-          fname;
-          freturn = ctyp_of_sexp ret;
-          fparams = List.map named_typ_of_sexp params;
-          fvariadic = String.equal va "variadic";
-          fstatic = String.equal st "static";
-          floc = loc_of_sexp locx;
-          ffile;
-          fbody = stmt_of_sexp body;
-        }
-  | Sexp.List [ Sexp.Atom "var"; d; locx; Sexp.Atom gfile; Sexp.Atom st ] ->
-      Cast.Gvar
-        {
-          gdecl = decl_of_sexp d;
-          gloc = loc_of_sexp locx;
-          gfile;
-          gstatic = String.equal st "static";
-        }
-  | Sexp.List [ Sexp.Atom "typedef"; Sexp.Atom name; t ] ->
-      Cast.Gtypedef (name, ctyp_of_sexp t)
-  | Sexp.List (Sexp.Atom "structdef" :: Sexp.Atom cname :: fields) ->
-      Cast.Gcomposite
-        { ckind = `Struct; cname; cfields = List.map named_typ_of_sexp fields }
-  | Sexp.List (Sexp.Atom "uniondef" :: Sexp.Atom cname :: fields) ->
-      Cast.Gcomposite
-        { ckind = `Union; cname; cfields = List.map named_typ_of_sexp fields }
-  | Sexp.List (Sexp.Atom "enumdef" :: Sexp.Atom ename :: items) ->
-      Cast.Genum
-        {
-          ename;
-          eitems =
-            List.map
-              (function
-                | Sexp.List [ Sexp.Atom n; Sexp.Atom v ] -> (n, Int64.of_string v)
-                | _ -> raise (Sexp.Decode_error "bad enum item"))
-              items;
-        }
-  | Sexp.List [ Sexp.Atom "proto"; Sexp.Atom pname; t ] ->
-      Cast.Gproto { pname; ptyp = ctyp_of_sexp t }
-  | Sexp.List [ Sexp.Atom "skipped"; name; from_x; to_x; Sexp.Atom sk_msg ] ->
-      let sk_name =
-        match name with
-        | Sexp.List [ Sexp.Atom n ] -> Some n
-        | Sexp.List [] -> None
-        | _ -> raise (Sexp.Decode_error "bad skipped name")
-      in
-      Cast.Gskipped
-        { sk_name; sk_from = loc_of_sexp from_x; sk_to = loc_of_sexp to_x; sk_msg }
-  | other -> raise (Sexp.Decode_error ("bad global " ^ Sexp.to_string other))
-
 let tunit_to_sexp (tu : Cast.tunit) =
   l (s "tunit" :: s tu.tu_file :: List.map global_to_sexp tu.tu_globals)
-
-let tunit_of_sexp = function
-  | Sexp.List (Sexp.Atom "tunit" :: Sexp.Atom tu_file :: globals) ->
-      { Cast.tu_file; tu_globals = List.map global_of_sexp globals }
-  | other -> raise (Sexp.Decode_error ("bad tunit " ^ Sexp.to_string other))
-
-let emit_string tu = Sexp.to_string (tunit_to_sexp tu)
-let read_string src = tunit_of_sexp (Sexp.of_string src)
-
-(* Tmp-then-rename: a crash mid-emit must not leave a truncated .mcast
-   that a later pass-2 reassembly reads as corrupt. *)
-let emit_file path tu =
-  let tmp = Filename.temp_file ~temp_dir:(Filename.dirname path) ".mcast" ".tmp" in
-  let oc = open_out_bin tmp in
-  (try
-     output_string oc (emit_string tu);
-     output_char oc '\n'
-   with e ->
-     close_out_noerr oc;
-     (try Sys.remove tmp with Sys_error _ -> ());
-     raise e);
-  close_out oc;
-  Sys.rename tmp path
-
-let read_file path =
-  let ic = open_in_bin path in
-  let n = in_channel_length ic in
-  let src = really_input_string ic n in
-  close_in ic;
-  read_string src
-
-(* Fault-contained variant for pass-2 reassembly: a truncated or corrupt
-   [.mcast] becomes a diagnosable [Error], mirroring the cache policy of
-   [read_cached] below (same exception set — literal atoms decode with
-   int_of_string/Int64.of_string/Char.chr, which raise
-   Failure/Invalid_argument on tampered input). *)
-let read_file_result path =
-  match read_file path with
-  | tu -> Ok tu
-  | exception
-      (( Sexp.Parse_error _ | Sexp.Decode_error _ | Failure _
-       | Invalid_argument _ | Sys_error _ | End_of_file ) as e) ->
-      Error (Printexc.to_string e)
 
 (* ------------------------------------------------------------------ *)
 (* Binary codec                                                         *)
 (* ------------------------------------------------------------------ *)
 
-(* The sexp form above stays the interchange format (emit/read, cache
-   dumps, body hashing); the cache hot path uses this length-prefixed
-   binary encoding instead — decoding it is a single forward scan with
-   no tokenising, which is what makes warm probes cheap. Corruption
-   surfaces as [Wire.Corrupt] (or a codec exception on a valid frame
-   with nonsense contents) and every caller degrades it to a miss. *)
+(* The one on-disk AST encoding: [.mcast] files, AST cache objects,
+   summary expression trees and the engine's body hashes all use it.
+   Decoding is a single forward scan with no tokenising. Corruption
+   surfaces as [Wire.Corrupt] (or a codec exception on a frame with
+   nonsense contents); the file readers below turn it into [Error]. *)
 
 let bad fmt = Printf.ksprintf (fun m -> raise (Wire.Corrupt m)) fmt
 
@@ -970,28 +711,56 @@ let tunit_of_bin r : Cast.tunit =
   { tu_file; tu_globals = Wire.rlist r global_of_bin }
 
 (* ------------------------------------------------------------------ *)
-(* Content-addressed AST object cache                                   *)
+(* AST files: [.mcast] and the content-addressed object cache          *)
 (* ------------------------------------------------------------------ *)
 
-(* Bump whenever the sexp encoding above (or the parser semantics that
-   feed it) change: every cached object becomes unreachable at once.
-   This version also salts the engine's body hashes, so it doubles as
-   the semantic version of the AST encoding. *)
-let format_version = "mcast-2"
+(* The one AST stamp. It is the magic of every AST file and salts both
+   [ast_fingerprint] and the engine's body hashes, so bump it whenever
+   the encoding above (or the parser semantics that feed it) changes:
+   older files then read as bad magic and cached objects and stored
+   summaries are orphaned, never misdecoded. *)
+let ast_version = "mcast-3"
+let ast_magic = "XGAST " ^ ast_version ^ "\n"
 
-(* Version of the *binary* cache object layout; salted into the
-   fingerprint (together with [format_version]) so a layout change
-   orphans every on-disk object instead of tripping over it. *)
-let cache_version = "mcast-bin-1"
-let ast_magic = "XGAST1\n"
+let emit_string tu =
+  let b = Wire.writer ~magic:ast_magic () in
+  tunit_to_bin b tu;
+  Wire.contents b
+
+let read_string src =
+  match
+    let r = Wire.reader ~magic:ast_magic src in
+    let tu = tunit_of_bin r in
+    if not (Wire.at_end r) then bad "trailing bytes at byte %d" (Wire.rpos r);
+    tu
+  with
+  | tu -> Ok tu
+  | exception (Wire.Corrupt m | Failure m | Invalid_argument m) ->
+      Error ("corrupt AST file: " ^ m)
+
+let read_file path =
+  match Wire.read_file path with
+  | src -> read_string src
+  | exception Sys_error m -> Error m
+
+(* Tmp-then-rename in the target's directory: a crash mid-write, or two
+   runs writing the same object, never expose a torn file. A failed
+   write removes its temp file. *)
+let emit_file path tu =
+  let data = emit_string tu in
+  let tmp = Filename.temp_file ~temp_dir:(Filename.dirname path) ".mcast" ".tmp" in
+  try
+    Out_channel.with_open_bin tmp (fun oc -> Out_channel.output_string oc data);
+    Sys.rename tmp path
+  with e ->
+    (try Sys.remove tmp with Sys_error _ -> ());
+    raise e
 
 let ast_fingerprint ~file ~source =
   (* The file name is part of the key: source locations ([ffile], locs)
      are baked into the emitted AST, so identical text under two names
      must not share an object. *)
-  Fingerprint.of_string
-    ~salt:(format_version ^ "+" ^ cache_version)
-    (file ^ "\x00" ^ source)
+  Fingerprint.of_string ~salt:ast_version (file ^ "\x00" ^ source)
 
 let mkdir_p dir =
   let rec go d =
@@ -1004,41 +773,13 @@ let mkdir_p dir =
 
 let cached_path ~cache_dir fp = Filename.concat (Filename.concat cache_dir "ast") (fp ^ ".mcast")
 
-let decode_cached_string src =
-  let r = Wire.reader ~magic:ast_magic src in
-  let tu = tunit_of_bin r in
-  if not (Wire.at_end r) then bad "trailing bytes in cache object";
-  tu
-
-let read_cached_file path =
-  match decode_cached_string (Wire.read_file path) with
-  | tu -> Ok tu
-  | exception
-      ((Wire.Corrupt _ | Failure _ | Invalid_argument _ | Sys_error _) as e) ->
-      Error (Printexc.to_string e)
-
-let read_cached ~cache_dir fp =
-  let path = cached_path ~cache_dir fp in
-  if Sys.file_exists path then
-    (* a corrupt, truncated, or vanished object is a miss, never an
-       error: the binary decoder raises [Wire.Corrupt] on malformed
-       frames (and Failure/Invalid_argument on nonsense payloads such
-       as out-of-range char codes) *)
-    match read_cached_file path with Ok tu -> Some tu | Error _ -> None
-  else None
+(* a missing, corrupt, truncated or vanished object is a miss *)
+let read_cached ~cache_dir fp = Result.to_option (read_file (cached_path ~cache_dir fp))
 
 let write_cached ~cache_dir fp tu =
   let path = cached_path ~cache_dir fp in
   mkdir_p (Filename.dirname path);
-  let b = Wire.writer ~magic:ast_magic () in
-  tunit_to_bin b tu;
-  (* tmp + rename in the same directory so concurrent writers (e.g. two
-     [-j] runs sharing a cache) never expose a torn object. *)
-  let tmp = Filename.temp_file ~temp_dir:(Filename.dirname path) "obj" ".tmp" in
-  let oc = open_out_bin tmp in
-  output_string oc (Wire.contents b);
-  close_out oc;
-  Sys.rename tmp path
+  emit_file path tu
 
 (* ------------------------------------------------------------------ *)
 (* Emit output naming                                                   *)

@@ -42,137 +42,3 @@ let to_string t =
   let buf = Buffer.create 256 in
   to_buffer buf t;
   Buffer.contents buf
-
-exception Parse_error of int * string
-
-type cursor = { src : string; mutable pos : int }
-
-let peek c = if c.pos < String.length c.src then Some c.src.[c.pos] else None
-
-let rec skip_ws c =
-  match peek c with
-  | Some (' ' | '\n' | '\t' | '\r') ->
-      c.pos <- c.pos + 1;
-      skip_ws c
-  | Some ';' ->
-      (* comment to end of line *)
-      while peek c <> None && peek c <> Some '\n' do
-        c.pos <- c.pos + 1
-      done;
-      skip_ws c
-  | _ -> ()
-
-let parse_quoted c =
-  c.pos <- c.pos + 1;
-  let buf = Buffer.create 16 in
-  let rec go () =
-    match peek c with
-    | None -> raise (Parse_error (c.pos, "unterminated quoted atom"))
-    | Some '"' ->
-        c.pos <- c.pos + 1;
-        Buffer.contents buf
-    | Some '\\' ->
-        c.pos <- c.pos + 1;
-        (match peek c with
-        | Some 'n' -> Buffer.add_char buf '\n'
-        | Some 't' -> Buffer.add_char buf '\t'
-        | Some 'r' -> Buffer.add_char buf '\r'
-        | Some ch -> Buffer.add_char buf ch
-        | None -> raise (Parse_error (c.pos, "dangling escape")));
-        c.pos <- c.pos + 1;
-        go ()
-    | Some ch ->
-        Buffer.add_char buf ch;
-        c.pos <- c.pos + 1;
-        go ()
-  in
-  go ()
-
-let parse_bare c =
-  let start = c.pos in
-  let rec go () =
-    match peek c with
-    | Some (' ' | '\n' | '\t' | '\r' | '(' | ')' | '"') | None -> ()
-    | Some _ ->
-        c.pos <- c.pos + 1;
-        go ()
-  in
-  go ();
-  if c.pos = start then raise (Parse_error (c.pos, "empty atom"));
-  String.sub c.src start (c.pos - start)
-
-let rec parse_one c =
-  skip_ws c;
-  match peek c with
-  | None -> raise (Parse_error (c.pos, "unexpected end of input"))
-  | Some '(' ->
-      c.pos <- c.pos + 1;
-      let items = ref [] in
-      let rec go () =
-        skip_ws c;
-        match peek c with
-        | Some ')' -> c.pos <- c.pos + 1
-        | None -> raise (Parse_error (c.pos, "unterminated list"))
-        | Some _ ->
-            items := parse_one c :: !items;
-            go ()
-      in
-      go ();
-      List (List.rev !items)
-  | Some ')' -> raise (Parse_error (c.pos, "unexpected ')'"))
-  | Some '"' -> Atom (parse_quoted c)
-  | Some _ -> Atom (parse_bare c)
-
-let of_string src =
-  let c = { src; pos = 0 } in
-  let t = parse_one c in
-  skip_ws c;
-  if c.pos <> String.length src then raise (Parse_error (c.pos, "trailing input"));
-  t
-
-let of_string_many src =
-  let c = { src; pos = 0 } in
-  let items = ref [] in
-  let rec go () =
-    skip_ws c;
-    if c.pos < String.length src then begin
-      items := parse_one c :: !items;
-      go ()
-    end
-  in
-  go ();
-  List.rev !items
-
-exception Decode_error of string
-
-let as_atom = function
-  | Atom s -> s
-  | List _ -> raise (Decode_error "expected atom, got list")
-
-let as_list = function
-  | List l -> l
-  | Atom a -> raise (Decode_error ("expected list, got atom " ^ a))
-
-let assoc key items =
-  match
-    List.find_opt
-      (function List (Atom k :: _) -> String.equal k key | _ -> false)
-      items
-  with
-  | Some t -> t
-  | None -> raise (Decode_error ("missing field " ^ key))
-
-let assoc_opt key items =
-  List.find_opt
-    (function List (Atom k :: _) -> String.equal k key | _ -> false)
-    items
-
-let field1 = function
-  | List [ _; payload ] -> payload
-  | List (Atom k :: _) -> raise (Decode_error ("field " ^ k ^ " expects one payload"))
-  | _ -> raise (Decode_error "malformed field")
-
-let fields = function
-  | List (_ :: payloads) -> payloads
-  | List [] -> raise (Decode_error "expected field node, got empty list")
-  | Atom a -> raise (Decode_error ("expected field node, got atom " ^ a))

@@ -1,40 +1,16 @@
-(** Minimal s-expressions, used to serialise ASTs between the two analysis
-    passes (Section 6: pass 1 "compiles each file in isolation, emitting
-    ASTs to a temporary file"; pass 2 "reads these temporary files [and]
-    reassembles their ASTs"). *)
+(** Minimal s-expression printer: the human-readable rendering of binary
+    cache files for [xgcc cache dump] (AST files, summary-store pack
+    entries). Nothing reads s-expressions back; every on-disk format is
+    {!Wire}-encoded. *)
 
-type t = Atom of string | List of t list
+type t
 
 val atom : string -> t
 val list : t list -> t
 
 val to_buffer : Buffer.t -> t -> unit
+(** Atoms containing spaces, parens, quotes, backslashes or control
+    characters (and the empty atom) print double-quoted, with the quote,
+    backslash, newline, tab and carriage return backslash-escaped. *)
+
 val to_string : t -> string
-
-exception Parse_error of int * string
-(** Byte offset and message. *)
-
-val of_string : string -> t
-(** Parse exactly one s-expression (trailing whitespace allowed). Atoms with
-    spaces, parens, quotes or control characters round-trip via quoting. *)
-
-val of_string_many : string -> t list
-
-(** {1 Decoding helpers} *)
-
-exception Decode_error of string
-
-val as_atom : t -> string
-val as_list : t -> t list
-
-val assoc : string -> t list -> t
-(** Find [(key ...)] in a field list; raises {!Decode_error} if missing.
-    Returns the whole [(key v1 v2 ...)] node. *)
-
-val assoc_opt : string -> t list -> t option
-
-val field1 : t -> t
-(** The single payload of a [(key payload)] node. *)
-
-val fields : t -> t list
-(** All payloads of a [(key p1 p2 ...)] node. *)

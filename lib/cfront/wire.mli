@@ -1,20 +1,20 @@
-(** Length-prefixed binary encoding for the persistent caches.
+(** Length-prefixed binary encoding: every on-disk format of the system.
 
-    The hot cache paths (pass-1 AST objects, function-summary and root
-    replay entries) used to round-trip through sexps; parsing them back
-    dominated warm-run time. This module is the shared wire layer for the
-    binary replacements: varint ints (zigzag, so negatives stay short),
-    length-prefixed strings, and a magic prefix per entry kind so a file
-    of the wrong kind or version reads as {!Corrupt} — which every cache
-    treats as a miss, never an error.
+    AST files (emitted [.mcast] files and the pass-1 object cache are one
+    format, see {!Cast_io}) and the summary-store packs (function-summary
+    and root replay entries) are all built from this layer: varint ints
+    (zigzag, so negatives stay short), length-prefixed strings, and a
+    magic prefix per file kind so a file of the wrong kind or version
+    reads as {!Corrupt}, which every reader turns into an [Error] or a
+    cache miss, never a crash.
 
     The encoding is deliberately not self-describing: each consumer owns
     its layout and versions it through the magic string plus the
     fingerprint salt of the enclosing store. *)
 
 exception Corrupt of string
-(** Truncated, malformed, or wrong-magic input. Cache readers catch this
-    and degrade to a miss. *)
+(** Truncated, malformed, or wrong-magic input. A truncation names the
+    byte offset where input ran out ("... at byte N"). *)
 
 (** {1 Writing} *)
 
@@ -68,4 +68,5 @@ val rlist : reader -> (reader -> 'a) -> 'a list
 val at_end : reader -> bool
 
 val read_file : string -> string
-(** Whole-file read; raises [Sys_error] like [open_in]. *)
+(** Whole-file read; raises [Sys_error] like [open_in], and closes the
+    channel on every path. *)

@@ -3102,8 +3102,8 @@ let run_cached ?options ~jobs store sg exts =
   let rctx = new_rctx ?options sg in
   Callout.install_builtins ();
   (* bodies and declarations hash over their Wire encoding, salted with
-     both AST format stamps *)
-  let ast_salt = Cast_io.format_version ^ "+" ^ Cast_io.cache_version in
+     the AST stamp, so an encoding change orphans every stored summary *)
+  let ast_salt = Cast_io.ast_version in
   let body_hash_tbl = Hashtbl.create 64 in
   let body_hash f =
     match Hashtbl.find_opt body_hash_tbl f with

@@ -648,8 +648,8 @@ let disk_stats ~dir =
     (regular_files (Filename.concat dir "pack"));
   { d_version = read_version ~dir; d_ast; d_sum = !d_sum; d_root = !d_root }
 
-(* Sexp renderings of the binary entries, for `cache dump` — debugging
-   reads sexps, the hot path never does. *)
+(* Sexp renderings of the binary entries, for `cache dump`: print-only,
+   nothing parses them back. *)
 
 let fn_to_sexp (e : fn_entry) =
   let bs, sfx = Lazy.force e.f_sums in

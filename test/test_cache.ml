@@ -169,11 +169,13 @@ let suite =
                 Array.iter
                   (fun s ->
                     incr checked;
-                    let sx = Summary.to_sexp s in
+                    let b = Wire.writer () in
+                    Summary.to_bin b s;
+                    let s' = Summary.of_bin (Wire.reader (Wire.contents b)) in
                     Alcotest.(check string)
-                      "to_sexp . of_sexp . to_sexp = to_sexp"
-                      (Sexp.to_string sx)
-                      (Sexp.to_string (Summary.to_sexp (Summary.of_sexp sx))))
+                      "to_sexp . of_bin . to_bin = to_sexp"
+                      (Sexp.to_string (Summary.to_sexp s))
+                      (Sexp.to_string (Summary.to_sexp s')))
                   (Array.append bs sfx))
               tbl)
           per_ext;

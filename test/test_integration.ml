@@ -135,8 +135,9 @@ let suite =
         let tus =
           List.map
             (fun (name, src) ->
-              Cast_io.read_string
-                (Cast_io.emit_string (Cparse.parse_tunit ~file:name src)))
+              Result.get_ok
+                (Cast_io.read_string
+                   (Cast_io.emit_string (Cparse.parse_tunit ~file:name src))))
             Fixture_driver.files
         in
         let sg = Supergraph.build tus in

@@ -96,10 +96,11 @@ let summary_tests =
         ignore (Summary.add_edge s (edge (unk "p") (g "stop")));
         ignore (Summary.add_edge s (edge (g "a") (g "b")));
         Summary.add_src s (g "a");
-        let sx = Summary.to_sexp s in
-        let s' = Summary.of_sexp sx in
+        let b = Wire.writer () in
+        Summary.to_bin b s;
+        let s' = Summary.of_bin (Wire.reader (Wire.contents b)) in
         Alcotest.(check string)
-          "sexp stable" (Sexp.to_string sx)
+          "sexp stable" (Sexp.to_string (Summary.to_sexp s))
           (Sexp.to_string (Summary.to_sexp s'));
         Alcotest.(check (list string))
           "edges preserved in order"

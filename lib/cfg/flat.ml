@@ -27,11 +27,11 @@
    Everything here is immutable after [build] and shared read-only
    across engine worker domains, like the rest of the supergraph. *)
 
-(* Must stay in lockstep with the engine's event generation (the engine
-   aliases this type): a declaration with an initialiser is visited as a
-   fresh-variable event followed by the nodes of a synthesised assignment
-   [x = init]; branch conditions, switch scrutinees and returned
-   expressions are visited like any block element. *)
+(* The engine's only event source (it aliases this type): a declaration
+   with an initialiser is visited as a fresh-variable event followed by
+   the nodes of a synthesised assignment [x = init]; branch conditions,
+   switch scrutinees and returned expressions are visited like any block
+   element. *)
 type ev =
   | Ev_node of Cast.expr
   | Ev_fresh of string
@@ -56,9 +56,9 @@ type t = {
       (* flat id -> terminator annotations to lay down on first visit *)
 }
 
-(* Mirrors [Block_heads.of_block]'s walk and the engine's event builder:
-   one pass computes both the event array and the terminator annotations
-   so they cannot drift apart. *)
+(* Mirrors [Block_heads.of_block]'s walk: one pass computes both the
+   event array and the terminator annotations so they cannot drift
+   apart. *)
 let events_of_block (b : Block.t) =
   let of_elem = function
     | Block.Tree e -> List.map (fun n -> Ev_node n) (Cast.exec_order e)

@@ -14,13 +14,6 @@ type options = {
   synonyms : bool;
   max_call_depth : int;
   max_instances : int;
-  dispatch : bool;
-  flatten : bool;
-  state_ids : bool;
-      (* resolve instance identity through the supergraph's hash-cons table
-         ([Exprid]); off ([--no-state-ids]), every lookup renders the key
-         string and resolves it through the same id space — the A/B
-         allocation baseline, observably identical by construction *)
   max_nodes_per_root : int;
   timeout_per_root : float;
 }
@@ -34,9 +27,6 @@ let default_options =
     synonyms = true;
     max_call_depth = 40;
     max_instances = 64;
-    dispatch = true;
-    flatten = true;
-    state_ids = true;
     max_nodes_per_root = 0;
     timeout_per_root = 0.;
   }
@@ -186,7 +176,7 @@ type shared_ctx = {
 }
 
 (* Alias of the flat table's event type, so [events_of_block] can return
-   the prebuilt global arrays directly in flat mode. *)
+   the prebuilt global arrays directly. *)
 type ev = Flat.ev =
   | Ev_node of Cast.expr
   | Ev_fresh of string
@@ -237,10 +227,9 @@ type rctx = {
       (* both layers' tags on a node, newest first ([Callout.ctx.annots]) *)
   annots_done : Bytes.t;
       (* per flat block id: terminator annotations ([mc_branch]/[mc_return])
-         already laid down in this context — the flat events path applies
-         them on first visit instead of at event-list build time *)
+         already laid down in this context — [events_of_block] applies
+         them on a block's first visit *)
   fsums : (string, fsum) Hashtbl.t;
-  events_cache : (string, ev array) Hashtbl.t;
   dedup : (int, unit) Hashtbl.t;
       (* emitted-report identity keys, interned through [intern] — probes
          and journal cells are int-sized; the merge-time dedup tables stay
@@ -282,8 +271,8 @@ type fctx = {
   fname : string;
   ffile : string;
   fbase : int;
-      (* flat id of this function's block 0 ([Flat.fbase]); -1 for
-         functions the supergraph's flat table does not know *)
+      (* flat id of this function's block 0 ([Flat.fbase]); every CFG
+         comes from [Supergraph.cfg_of], whose functions all have one *)
   fsum : fsum;
       (* this function's summary tables, resolved once per frame instead
          of per block visit (fsums entries are never replaced while a
@@ -364,7 +353,6 @@ let charge_pub rctx (p : pub) =
    passes its creator's. [annot_base] is read, never written. *)
 let make_rctx ?ids ?store0 ?(annot_base = Hashtbl.create 1) ?shared ~options ~ext
     ~dsp sg =
-  let strings = not options.state_ids in
   let annots = Hashtbl.create 16 in
   (* own tags first, then the base's: the order one table with prepended
      tags would hold *)
@@ -380,8 +368,8 @@ let make_rctx ?ids ?store0 ?(annot_base = Hashtbl.create 1) ?shared ~options ~ex
     ids =
       (match ids with
       | Some ids -> ids
-      | None -> Exprid.make_ctx ~strings sg.Supergraph.ids);
-    intern = Intern.create ~strings ~n_exprs:(Exprid.n sg.Supergraph.ids) ();
+      | None -> Exprid.make_ctx sg.Supergraph.ids);
+    intern = Intern.create ~n_exprs:(Exprid.n sg.Supergraph.ids) ();
     store0 = (match store0 with Some s -> s | None -> Store.create ());
     collector = Report.new_collector ();
     counters = Hashtbl.create 16;
@@ -390,7 +378,6 @@ let make_rctx ?ids ?store0 ?(annot_base = Hashtbl.create 1) ?shared ~options ~ex
     annot_tags;
     annots_done = Bytes.make (max 1 sg.Supergraph.flat.Flat.n_blocks) '\000';
     fsums = Hashtbl.create 16;
-    events_cache = Hashtbl.create 64;
     dedup = Hashtbl.create 16;
     traversed = Hashtbl.create 16;
     demanded = Hashtbl.create 8;
@@ -468,7 +455,7 @@ let make_fctx rctx ~depth ~stack (cfg : Cfg.t) =
   }
 
 (* ------------------------------------------------------------------ *)
-(* Events of a block (memoised: trees keep stable eids across visits)  *)
+(* Events of a block (prebuilt once in the supergraph's flat tables)   *)
 (* ------------------------------------------------------------------ *)
 
 let tags_mem tbl eid tag =
@@ -487,62 +474,22 @@ let annotate rctx eid tag =
     Hashtbl.replace rctx.annots eid (tag :: Option.value prev ~default:[])
   end
 
-(* Flat mode returns the supergraph's prebuilt global event arrays (no
-   per-context list building at all) and lays the terminator annotations
-   down on the block's first visit in this context, tracked by the
-   [annots_done] bitset (idempotent anyway — [annotate] dedups — but
-   the bitset keeps repeat visits allocation- and probe-free). Boxed mode
-   rebuilds per-context event arrays exactly as before, annotating at
-   build time; it exists as the A/B baseline ([--no-flat]) and its
-   synthesised decl-initialiser trees get per-context node ids. *)
+(* The supergraph's prebuilt global event arrays (no per-context list
+   building at all). The terminator annotations are laid down on the
+   block's first visit in this context, tracked by the [annots_done]
+   bitset (idempotent anyway — [annotate] dedups — but the bitset keeps
+   repeat visits allocation- and probe-free). *)
 let events_of_block rctx fctx (block : Block.t) =
   let flat = rctx.sg.Supergraph.flat in
   let fb = fctx.fbase + block.bid in
-  if rctx.opts.flatten && fctx.fbase >= 0 then begin
-    if Bytes.get rctx.annots_done fb = '\000' then begin
-      j_push rctx (U_adone fb);
-      Bytes.set rctx.annots_done fb '\001';
-      Array.iter
-        (fun ((e : Cast.expr), tag) -> annotate rctx e.eid tag)
-        (Flat.annots flat fb)
-    end;
-    Flat.events flat fb
-  end
-  else
-    let key = Printf.sprintf "%s#%d" fctx.fname block.bid in
-    match Hashtbl.find_opt rctx.events_cache key with
-    | Some evs -> evs
-    | None ->
-        let of_elem = function
-          | Block.Tree e -> List.map (fun n -> Ev_node n) (Cast.exec_order e)
-          | Block.Decl d -> (
-              match d.Cast.dinit with
-              | Some init ->
-                  let synth =
-                    Cast.mk_expr ~loc:init.eloc
-                      (Cast.Eassign (None, Cast.ident ~loc:init.eloc d.Cast.dname, init))
-                  in
-                  Ev_fresh d.Cast.dname
-                  :: List.map (fun n -> Ev_node n) (Cast.exec_order synth)
-              | None -> [ Ev_fresh d.Cast.dname ])
-          | Block.End_of_scope vars -> [ Ev_scope_end vars ]
-        in
-        let term_evs =
-          match block.term with
-          | Block.Branch (c, _, _) ->
-              annotate rctx c.eid "mc_branch";
-              List.map (fun n -> Ev_node n) (Cast.exec_order c)
-          | Block.Switch (e, _) ->
-              annotate rctx e.eid "mc_branch";
-              List.map (fun n -> Ev_node n) (Cast.exec_order e)
-          | Block.Return (Some e) ->
-              annotate rctx e.eid "mc_return";
-              List.map (fun n -> Ev_node n) (Cast.exec_order e)
-          | Block.Jump _ | Block.Return None | Block.Exit -> []
-        in
-        let evs = Array.of_list (List.concat_map of_elem block.elems @ term_evs) in
-        Hashtbl.replace rctx.events_cache key evs;
-        evs
+  if Bytes.get rctx.annots_done fb = '\000' then begin
+    j_push rctx (U_adone fb);
+    Bytes.set rctx.annots_done fb '\001';
+    Array.iter
+      (fun ((e : Cast.expr), tag) -> annotate rctx e.eid tag)
+      (Flat.annots flat fb)
+  end;
+  Flat.events flat fb
 
 (* ------------------------------------------------------------------ *)
 (* Reporting                                                           *)
@@ -774,10 +721,8 @@ let apply_transitions rctx fctx walk (node : Cast.expr) =
   let trs = Dispatch.transitions dsp in
   let bucket = Dispatch.candidates dsp node in
   let cand = bucket.Dispatch.b_trs in
-  if
-    Dispatch.indexed dsp
-    && Array.length cand < Array.length (Dispatch.all_node dsp)
-  then rctx.st.index_hits <- rctx.st.index_hits + 1;
+  if Array.length cand < Array.length (Dispatch.all_node dsp) then
+    rctx.st.index_hits <- rctx.st.index_hits + 1;
   (* Short-circuit prepass: decide from the bucket's precompiled facts
      alone whether any loop below could do anything, before allocating
      the callout context or the entry-state tables. No per-transition
@@ -1852,9 +1797,7 @@ let rec traverse rctx fctx walk (backtrace : int list) (bid : int) : unit =
        node of this block, apply_transitions is a provable no-op for every
        node event and is skipped wholesale; scope ends, fresh-variable
        kills and write handling still run *)
-    let live =
-      fctx.fbase < 0 || Dispatch.block_live_flat rctx.dsp (fctx.fbase + bid)
-    in
+    let live = Dispatch.block_live_flat rctx.dsp (fctx.fbase + bid) in
     if not live then rctx.st.blocks_skipped <- rctx.st.blocks_skipped + 1;
     let evs = events_of_block rctx fctx block in
     process_events rctx fctx ~live evs 0 walk (fun walk' ->
@@ -2347,8 +2290,7 @@ let rollback_root rctx sn =
   Report.truncate rctx.collector sn.sn_reports;
   List.iter (apply_undo rctx) rctx.journal;
   assign_stats rctx.st sn.sn_stats;
-  Hashtbl.reset rctx.fsums;
-  Hashtbl.reset rctx.events_cache
+  Hashtbl.reset rctx.fsums
 
 (* The root boundary: run one root under its budget, catching budget
    exhaustion and arbitrary crashes (a checker action raising, a stack
@@ -2378,7 +2320,7 @@ let run_root_contained rctx (ext : Sm.t) root =
    either is assigned. *)
 let set_extension rctx (ext : Sm.t) =
   rctx.cur_ext <- ext;
-  rctx.dsp <- Dispatch.compile ~indexed:rctx.opts.dispatch ~sg:rctx.sg ext
+  rctx.dsp <- Dispatch.compile ~sg:rctx.sg ext
 
 let run_extension rctx (ext : Sm.t) =
   set_extension rctx ext;
@@ -2390,9 +2332,7 @@ let run_extension rctx (ext : Sm.t) =
 
 let new_rctx ?(options = default_options) sg =
   let none = Sm.make ~name:"<none>" [] in
-  make_rctx ~options ~ext:none
-    ~dsp:(Dispatch.compile ~indexed:options.dispatch ~sg none)
-    sg
+  make_rctx ~options ~ext:none ~dsp:(Dispatch.compile ~sg none) sg
 
 let collect_result rctx =
   rctx.st.functions_traversed <- Hashtbl.length rctx.traversed;
@@ -2690,10 +2630,9 @@ let run_roots ~jobs ~heights ~share base (plans : plan array) =
             ~dsp:base.dsp base.sg
         in
         run_root_contained rctx ext roots.(todo.(j));
-        (* summaries and block events are per-root scratch state; the
-           merge reads only deltas, so release them with the task *)
+        (* summaries are per-root scratch state; the merge reads only
+           deltas, so release them with the task *)
         Hashtbl.reset rctx.fsums;
-        Hashtbl.reset rctx.events_cache;
         seal_worker_stats rctx;
         rctx)
   in
@@ -2819,9 +2758,7 @@ let analysis_version = "xgcc-analysis-5"
 let options_digest (o : options) =
   (* budgets are part of the digest: a budget-limited run can legitimately
      produce fewer reports, so its cache entries must not be replayed by
-     an unlimited run (or vice versa). Representation switches ([flatten],
-     [dispatch], [state_ids]) are deliberately absent: they cannot change
-     output, so warm caches replay across those modes *)
+     an unlimited run (or vice versa) *)
   Printf.sprintf "%s c%b p%b i%b k%b s%b d%d m%d n%d t%g" analysis_version
     o.caching o.pruning o.interproc o.auto_kill o.synonyms o.max_call_depth
     o.max_instances o.max_nodes_per_root o.timeout_per_root

@@ -15,7 +15,13 @@
       refine/restore at call boundaries (Section 6.1, Table 2) and
       summary-driven continuation after calls (Section 6.3);
     - transparent false-positive suppression: kill-on-redefinition,
-      synonyms, and false-path pruning via {!Store} (Section 8). *)
+      synonyms, and false-path pruning via {!Store} (Section 8).
+
+    There is one traversal representation: block events come prebuilt
+    from the supergraph's flat tables ({!Flat}), each node probes only
+    the candidates of the extension's compiled head index ({!Dispatch}),
+    and tracked-object identity is a hash-consed expression id
+    ({!Exprid}) with interned integer state tuples ({!Intern}). *)
 
 type options = {
   caching : bool;  (** block-level state caching (Section 5.2) *)
@@ -25,29 +31,6 @@ type options = {
   synonyms : bool;  (** synonym tracking (Section 8) *)
   max_call_depth : int;
   max_instances : int;  (** cap on simultaneously tracked objects per SM *)
-  dispatch : bool;
-      (** head-constructor transition indexing and block skip sets
-          ({!Dispatch}). Purely an execution strategy: reports are
-          byte-identical either way, so the flag is deliberately {e not}
-          part of {!options_digest}. Default on; [--no-dispatch-index]
-          turns it off for A/B comparison. *)
-  flatten : bool;
-      (** serve block events from the supergraph's prebuilt flat tables
-          ({!Flat}) instead of rebuilding per-context event lists. Like
-          [dispatch], purely an execution strategy — reports are
-          byte-identical either way and the flag is {e not} part of
-          {!options_digest}, so warm caches replay across modes. Default
-          on; [--no-flat] turns it off for A/B comparison. *)
-  state_ids : bool;
-      (** resolve tracked-object identity through the supergraph's
-          hash-cons table ({!Exprid}): instance lookups, seen-tuple probes
-          and summary keys compare dense int ids and keys render at most
-          once per distinct expression per root. Off, every probe renders
-          the key string and resolves it through the same id space — the
-          A/B allocation baseline. Like [flatten]/[dispatch], purely a
-          representation switch: reports are byte-identical either way and
-          the flag is {e not} part of {!options_digest}, so warm caches
-          replay across modes. Default on; [--no-state-ids] turns it off. *)
   max_nodes_per_root : int;
       (** per-root fuel: nodes visited plus instances created before the
           root is abandoned as {!degraded}. [0] (the default) means

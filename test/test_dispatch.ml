@@ -1,7 +1,8 @@
 (* Compiled transition dispatch: head-constructor classification, the
-   pruned callsite model, and the A/B oracle — the indexed engine must
-   produce byte-identical output to the naive full scan on every corpus,
-   at any job count, and through a warm persistent cache. *)
+   pruned callsite model, and the full-scan reference — at every node of
+   every corpus, each transition that matches must be among the index's
+   candidates and its block must be live, so first-match-wins picks the
+   winner a scan of the whole transition list would. *)
 
 let t = Alcotest.test_case
 
@@ -10,17 +11,9 @@ let p s = Pattern.Pexpr (e s)
 
 let v_hole = [ ("v", Holes.Any_pointer) ]
 
-let temp_dir () =
-  let f = Filename.temp_file "xgcc_test_dispatch" "" in
-  Sys.remove f;
-  Sys.mkdir f 0o755;
-  f
-
 let sg_of src = Supergraph.build [ Cparse.parse_tunit ~file:"dispatch.c" src ]
 
 let all_checkers () = List.map (fun ex -> ex.Registry.e_make ()) (Registry.all ())
-
-let naive = { Engine.default_options with Engine.dispatch = false }
 
 (* emission-order lines: the contract is byte-identical output, not
    merely same-set *)
@@ -168,8 +161,7 @@ let regression_tests =
             .Engine.calls_followed
         in
         Alcotest.(check int) "indexed follows helper2" 1
-          (run Engine.default_options);
-        Alcotest.(check int) "naive scan agrees" 1 (run naive));
+          (run Engine.default_options));
     t "skip sets leave end-of-path transitions alone" `Quick (fun () ->
         (* the leak checker's report fires at end of scope inside a block
            with no matchable node; skipping apply_transitions for such
@@ -178,19 +170,14 @@ let regression_tests =
           "int leaky(int n) { int *p = kmalloc(n); if (n) { return 0; } \
            kfree(p); return 1; }"
         in
-        let with_idx =
-          Engine.run (sg_of src) [ Leak_checker.checker () ]
-        in
-        let without =
-          Engine.run ~options:naive (sg_of src) [ Leak_checker.checker () ]
-        in
+        let r = Engine.run (sg_of src) [ Leak_checker.checker () ] in
         Alcotest.(check (list string))
-          "same reports" (output_lines without) (output_lines with_idx);
-        Alcotest.(check bool) "leak found" true (with_idx.Engine.reports <> []));
+          "leak found in leaky" [ "leaky" ]
+          (List.map (fun (rep : Report.t) -> rep.Report.func) r.Engine.reports));
   ]
 
-(* A/B oracle: every corpus, indexed vs naive, -j 1 vs -j 2, and warm
-   cache replay — output must be byte-identical in every cell. *)
+(* Full-scan reference: every corpus, every checker, every node event
+   of every block. *)
 let corpora () =
   [
     ("fixture driver", Fixture_driver.files);
@@ -208,65 +195,105 @@ let sg_of_files files =
   Supergraph.build
     (List.map (fun (file, src) -> Cparse.parse_tunit ~file src) files)
 
+(* [f fname fb node] for every node event of every block, in flat order. *)
+let iter_nodes (sg : Supergraph.t) f =
+  let flat = sg.Supergraph.flat in
+  for fi = 0 to Flat.n_functions flat - 1 do
+    let fname = flat.Flat.fnames.(fi) in
+    for fb = flat.Flat.block_base.(fi) to flat.Flat.block_base.(fi + 1) - 1 do
+      Array.iter
+        (function
+          | Flat.Ev_node n -> f fname fb n
+          | Flat.Ev_fresh _ | Flat.Ev_scope_end _ -> ())
+        (Flat.events flat fb)
+    done
+  done
+
+(* The full scan, test-local: the node-matching transitions whose
+   pattern matches [node] with no state variable pre-bound (the most
+   permissive binding, so a superset of what any instance can fire). *)
+let full_scan dsp ~ctx node =
+  let trs = Dispatch.transitions dsp in
+  List.filter
+    (fun ti ->
+      let c = trs.(ti) in
+      Pattern.match_event ~ctx ~holes:c.Dispatch.c_holes
+        c.Dispatch.c_tr.Sm.tr_pattern (Pattern.At_node node)
+      <> None)
+    (Array.to_list (Dispatch.all_node dsp))
+
 let oracle_tests =
   [
     t "indexed equals naive on every corpus (all checkers)" `Quick (fun () ->
         List.iter
           (fun (name, files) ->
             let sg = sg_of_files files in
-            let idx = Engine.run sg (all_checkers ()) in
-            let nv = Engine.run ~options:naive sg (all_checkers ()) in
-            Alcotest.(check (list string))
-              (name ^ ": byte-identical output")
-              (output_lines nv) (output_lines idx);
-            Alcotest.(check int)
-              (name ^ ": same transitions fired")
-              nv.Engine.stats.Engine.transitions_fired
-              idx.Engine.stats.Engine.transitions_fired)
+            List.iter
+              (fun (ext : Sm.t) ->
+                let dsp = Dispatch.compile ~sg ext in
+                let all = Array.to_list (Dispatch.all_node dsp) in
+                iter_nodes sg (fun fname fb node ->
+                    let typing =
+                      match Supergraph.fundef_of sg fname with
+                      | Some f -> Ctyping.enter_function sg.Supergraph.typing f
+                      | None -> sg.Supergraph.typing
+                    in
+                    let ctx =
+                      { Callout.typing; node = Some node; annots = (fun _ -> []) }
+                    in
+                    let cand =
+                      Array.to_list (Dispatch.candidates dsp node).Dispatch.b_trs
+                    in
+                    let where =
+                      Printf.sprintf "%s: %s at %s in %s" name ext.Sm.sm_name
+                        (Cast.key_of_expr node) fname
+                    in
+                    Alcotest.(check bool)
+                      (where ^ ": candidates sorted, within all_node") true
+                      (List.sort_uniq Int.compare cand = cand
+                      && List.for_all (fun ti -> List.mem ti all) cand);
+                    match full_scan dsp ~ctx node with
+                    | [] -> ()
+                    | matching ->
+                        Alcotest.(check (list int))
+                          (where ^ ": every match is a candidate")
+                          matching
+                          (List.filter (fun ti -> List.mem ti cand) matching);
+                        Alcotest.(check bool)
+                          (where ^ ": block is live") true
+                          (Dispatch.block_live_flat dsp fb)))
+              (all_checkers ()))
           (corpora ()));
     t "indexed equals naive at -j 2" `Quick (fun () ->
         let sg = sg_of_files Fixture_driver.files in
-        let idx = Engine.run ~jobs:2 sg (all_checkers ()) in
-        let nv = Engine.run ~options:naive ~jobs:2 sg (all_checkers ()) in
+        let j1 = Engine.run sg (all_checkers ()) in
+        let j2 = Engine.run ~jobs:2 sg (all_checkers ()) in
         Alcotest.(check (list string))
-          "byte-identical output" (output_lines nv) (output_lines idx));
+          "byte-identical output" (output_lines j1) (output_lines j2));
     t "index reduces match attempts without losing fires" `Quick (fun () ->
+        (* the no-match corpus: candidate lists are strictly shorter than
+           the full node-matching list summed over its nodes, whole blocks
+           are skipped, and the per-node reference above shows no match
+           is dropped *)
         let sg = sg_of_files (List.assoc "no-match heavy" (corpora ())) in
-        let idx = Engine.run sg (all_checkers ()) in
-        let nv = Engine.run ~options:naive sg (all_checkers ()) in
-        let ai = idx.Engine.stats.Engine.match_attempts in
-        let an = nv.Engine.stats.Engine.match_attempts in
+        let cand_total = ref 0 and scan_total = ref 0 in
+        List.iter
+          (fun ext ->
+            let dsp = Dispatch.compile ~sg ext in
+            iter_nodes sg (fun _ _ node ->
+                cand_total :=
+                  !cand_total
+                  + Array.length (Dispatch.candidates dsp node).Dispatch.b_trs;
+                scan_total := !scan_total + Array.length (Dispatch.all_node dsp)))
+          (all_checkers ());
         Alcotest.(check bool)
-          (Printf.sprintf "fewer attempts (%d < %d)" ai an)
-          true (ai < an);
+          (Printf.sprintf "fewer candidates (%d < %d)" !cand_total !scan_total)
+          true (!cand_total < !scan_total);
+        let r = Engine.run sg (all_checkers ()) in
+        Alcotest.(check bool) "index hits" true
+          (r.Engine.stats.Engine.index_hits > 0);
         Alcotest.(check bool) "blocks skipped" true
-          (idx.Engine.stats.Engine.blocks_skipped > 0);
-        Alcotest.(check bool) "naive skips nothing" true
-          (nv.Engine.stats.Engine.blocks_skipped = 0));
-    t "warm cache replay is identical with and without the index" `Quick
-      (fun () ->
-        let files = List.assoc "generated 30" (corpora ()) in
-        let dir = temp_dir () in
-        let store options =
-          Summary_store.create ~dir
-            ~ext_keys:
-              (Summary_store.ext_keys_of
-                 ~options_digest:(Engine.options_digest options)
-                 ~sources:[ "free" ])
-            ()
-        in
-        let run options =
-          output_lines
-            (Engine.run ~options ~cache:(store options) (sg_of_files files)
-               [ Free_checker.checker () ])
-        in
-        let cold = run Engine.default_options in
-        (* the dispatch flag is not part of the options digest, so the
-           naive warm run replays entries written by the indexed run *)
-        let warm_naive = run naive in
-        let warm_idx = run Engine.default_options in
-        Alcotest.(check (list string)) "warm naive = cold" cold warm_naive;
-        Alcotest.(check (list string)) "warm indexed = cold" cold warm_idx);
+          (r.Engine.stats.Engine.blocks_skipped > 0));
   ]
 
 let suite =

@@ -1,23 +1,13 @@
-(* The flat supergraph tables ([Flat]) and the engine's flat events mode:
-   flat block ids must round-trip to (function, block) pairs and replicate
-   the boxed CFG views exactly, and flat mode is a pure execution
-   strategy — reports are byte-identical to boxed mode at any job count,
-   warm caches replay across the mode boundary (the flag is excluded from
-   the options digest), and per-root fault containment rolls back flat
-   state (first-visit annotation bits) exactly like boxed state. *)
+(* The flat supergraph tables ([Flat]) the engine traverses: flat block
+   ids must round-trip to (function, block) pairs, replicate the boxed CFG
+   views exactly, and carry the same events and terminator annotations a
+   per-block list builder over [Block.t] produces; per-root fault
+   containment rolls back flat state (first-visit annotation bits). *)
 
 let t = Alcotest.test_case
 
-let temp_dir () =
-  let f = Filename.temp_file "xgcc_test_flat" "" in
-  Sys.remove f;
-  Sys.mkdir f 0o755;
-  f
-
 let free () = [ Free_checker.checker () ]
 let report_lines (r : Engine.result) = List.map Report.to_string r.Engine.reports
-
-let boxed_options = { Engine.default_options with flatten = false }
 
 let sg_of src = Supergraph.build [ Cparse.parse_tunit ~file:"flat.c" src ]
 
@@ -111,62 +101,78 @@ let table_tests =
           (Flat.table_bytes flat > 0));
   ]
 
+(* The boxed reference builder: a block's node events and terminator
+   annotations rebuilt as lists straight from [Block.t], as the engine
+   did per context before the flat tables existed. *)
+let boxed_events (block : Block.t) =
+  let nodes e = List.map (fun n -> Flat.Ev_node n) (Cast.exec_order e) in
+  let of_elem = function
+    | Block.Tree e -> nodes e
+    | Block.Decl d -> (
+        match d.Cast.dinit with
+        | Some init ->
+            let synth =
+              Cast.mk_expr ~loc:init.eloc
+                (Cast.Eassign (None, Cast.ident ~loc:init.eloc d.Cast.dname, init))
+            in
+            Flat.Ev_fresh d.Cast.dname :: nodes synth
+        | None -> [ Flat.Ev_fresh d.Cast.dname ])
+    | Block.End_of_scope vars -> [ Flat.Ev_scope_end vars ]
+  in
+  let term_evs, annots =
+    match block.term with
+    | Block.Branch (c, _, _) -> (nodes c, [ (c, "mc_branch") ])
+    | Block.Switch (e, _) -> (nodes e, [ (e, "mc_branch") ])
+    | Block.Return (Some e) -> (nodes e, [ (e, "mc_return") ])
+    | Block.Jump _ | Block.Return None | Block.Exit -> ([], [])
+  in
+  (List.concat_map of_elem block.elems @ term_evs, annots)
+
+(* Program nodes must be the very same tree; the declaration-initialiser
+   assignment is synthesised by each builder, so it compares by content
+   and location. *)
+let same_node (a : Cast.expr) (b : Cast.expr) =
+  a == b || (Cast.equal_expr a b && a.Cast.eloc = b.Cast.eloc)
+
+let same_event a b =
+  match (a, b) with
+  | Flat.Ev_node x, Flat.Ev_node y -> same_node x y
+  | Flat.Ev_fresh x, Flat.Ev_fresh y -> String.equal x y
+  | Flat.Ev_scope_end x, Flat.Ev_scope_end y -> List.equal String.equal x y
+  | _ -> false
+
 let identity_tests =
   [
     t "flat and boxed reports byte-identical at -j1/-j2" `Quick (fun () ->
-        let sg = gen_sg ~seed:11 in
-        let flat_r = Engine.run sg (free ()) in
         List.iter
-          (fun jobs ->
-            let boxed_r =
-              Engine.run ~options:boxed_options ~jobs sg (free ())
-            in
-            Alcotest.(check (list string))
-              (Printf.sprintf "reports (boxed j=%d)" jobs)
-              (report_lines flat_r) (report_lines boxed_r);
-            Alcotest.(check (list (triple string int int)))
-              (Printf.sprintf "counters (boxed j=%d)" jobs)
-              flat_r.Engine.counters boxed_r.Engine.counters)
-          [ 1; 2 ];
-        let flat_j2 = Engine.run ~jobs:2 sg (free ()) in
+          (fun sg ->
+            let flat = sg.Supergraph.flat in
+            Hashtbl.iter
+              (fun fname (cfg : Cfg.t) ->
+                let base = Flat.fbase flat fname in
+                Array.iter
+                  (fun (block : Block.t) ->
+                    let fb = base + block.Block.bid in
+                    let where = Printf.sprintf "%s#%d" fname block.Block.bid in
+                    let evs, annots = boxed_events block in
+                    Alcotest.(check bool)
+                      ("events " ^ where) true
+                      (List.equal same_event evs
+                         (Array.to_list (Flat.events flat fb)));
+                    Alcotest.(check bool)
+                      ("annotations " ^ where) true
+                      (List.equal
+                         (fun (e1, t1) (e2, t2) -> e1 == e2 && String.equal t1 t2)
+                         annots
+                         (Array.to_list (Flat.annots flat fb))))
+                  cfg.Cfg.blocks)
+              sg.Supergraph.cfgs)
+          [ sg_of shapes_src; gen_sg ~seed:11 ];
+        let sg = gen_sg ~seed:11 in
+        let j1 = Engine.run sg (free ()) in
+        let j2 = Engine.run ~jobs:2 sg (free ()) in
         Alcotest.(check (list string))
-          "flat -j2 = flat -j1" (report_lines flat_r) (report_lines flat_j2));
-    t "warm cache replays across the flatten boundary" `Quick (fun () ->
-        (* [flatten] is an execution strategy, not an analysis option: it
-           is excluded from the options digest, so summaries written by a
-           flat run must be replayed verbatim by a boxed run (and vice
-           versa) instead of being orphaned. *)
-        Alcotest.(check string)
-          "digest ignores flatten"
-          (Engine.options_digest Engine.default_options)
-          (Engine.options_digest boxed_options);
-        let sg = gen_sg ~seed:13 in
-        let store_over dir =
-          Summary_store.create ~dir
-            ~ext_keys:
-              (Summary_store.ext_keys_of
-                 ~options_digest:(Engine.options_digest Engine.default_options)
-                 ~sources:[ "free" ])
-            ()
-        in
-        let dir = temp_dir () in
-        let uncached = Engine.run sg (free ()) in
-        let cold = Engine.run ~cache:(store_over dir) sg (free ()) in
-        let warm_store = store_over dir in
-        let warm =
-          Engine.run ~options:boxed_options ~cache:warm_store sg (free ())
-        in
-        Alcotest.(check (list string))
-          "cold flat = uncached" (report_lines uncached) (report_lines cold);
-        Alcotest.(check (list string))
-          "warm boxed = uncached" (report_lines uncached) (report_lines warm);
-        let st = Summary_store.stats warm_store in
-        Alcotest.(check int)
-          "boxed warm run recomputes nothing" 0
-          st.Summary_store.roots_recomputed;
-        Alcotest.(check bool)
-          "boxed warm run replays flat-written roots" true
-          (st.Summary_store.roots_replayed > 0));
+          "flat -j2 = flat -j1" (report_lines j1) (report_lines j2));
   ]
 
 (* A root whose path count explodes, placed last so dropping it does not
@@ -187,10 +193,10 @@ let explode_fn =
 let rollback_tests =
   [
     t "degraded root rolls back flat-mode state at -j1/-j2" `Quick (fun () ->
-        (* flat mode tracks first-visit terminator annotations in a
+        (* the traversal tracks first-visit terminator annotations in a
            per-context bitset; rollback must clear the degraded root's
            bits (and annotations) so healthy roots' output is identical
-           to a run that never had the bad root, in both modes *)
+           to a run that never had the bad root *)
         let budgeted =
           { Engine.default_options with max_nodes_per_root = 40 }
         in
@@ -199,25 +205,18 @@ let rollback_tests =
           (List.length healthy.Engine.degraded);
         let faulty_sg = sg_of (explosion_src ^ explode_fn) in
         List.iter
-          (fun (options, mode) ->
-            List.iter
-              (fun jobs ->
-                let r = Engine.run ~options ~jobs faulty_sg (free ()) in
-                Alcotest.(check (list string))
-                  (Printf.sprintf "degraded root only (%s j=%d)" mode jobs)
-                  [ "explode" ]
-                  (List.map
-                     (fun (d : Engine.degraded) -> d.Engine.d_root)
-                     r.Engine.degraded);
-                Alcotest.(check (list string))
-                  (Printf.sprintf "healthy roots identical (%s j=%d)" mode
-                     jobs)
-                  (report_lines healthy) (report_lines r))
-              [ 1; 2 ])
-          [
-            ({ budgeted with flatten = true }, "flat");
-            ({ budgeted with flatten = false }, "boxed");
-          ]);
+          (fun jobs ->
+            let r = Engine.run ~options:budgeted ~jobs faulty_sg (free ()) in
+            Alcotest.(check (list string))
+              (Printf.sprintf "degraded root only (j=%d)" jobs)
+              [ "explode" ]
+              (List.map
+                 (fun (d : Engine.degraded) -> d.Engine.d_root)
+                 r.Engine.degraded);
+            Alcotest.(check (list string))
+              (Printf.sprintf "healthy roots identical (j=%d)" jobs)
+              (report_lines healthy) (report_lines r))
+          [ 1; 2 ]);
   ]
 
 let suite =

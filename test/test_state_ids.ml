@@ -1,24 +1,13 @@
 (* Hash-consed expression identity ([Exprid]) and integer-coded tuple
    state: ids are equality tokens for rendered keys (same id iff same
-   key, in both modes), the base table is shared read-only across
-   domains, and [--no-state-ids] (the string-keyed A/B baseline) is a
-   pure cost model — reports are byte-identical to id mode at any job
-   count, warm caches replay across the mode boundary (the flag is
-   excluded from the options digest), and per-root fault containment
-   rolls back int-keyed journal state exactly like string state. *)
+   key), tuple ids are the atoms of rendered tuple keys, the base table
+   is shared read-only across domains, and per-root fault containment
+   rolls back int-keyed journal state. *)
 
 let t = Alcotest.test_case
 let e s = Cparse.expr_of_string ~file:"<t>" s
-
-let temp_dir () =
-  let f = Filename.temp_file "xgcc_test_state_ids" "" in
-  Sys.remove f;
-  Sys.mkdir f 0o755;
-  f
-
 let free () = [ Free_checker.checker () ]
 let report_lines (r : Engine.result) = List.map Report.to_string r.Engine.reports
-let strings_options = { Engine.default_options with state_ids = false }
 let sg_of src = Supergraph.build [ Cparse.parse_tunit ~file:"ids.c" src ]
 
 let gen_sg ~seed =
@@ -42,24 +31,35 @@ let pool =
 let table_tests =
   [
     t "ids are key identity in both modes" `Quick (fun () ->
+        (* program expressions (base ids through the eid memo) and fresh
+           parses of the pool (overflow or key-resolved ids) alike *)
         let sg = sg_of src in
+        let ctx = Exprid.make_ctx sg.Supergraph.ids in
+        let program =
+          List.concat_map
+            (fun (cfg : Cfg.t) ->
+              List.concat_map
+                (fun (b : Block.t) ->
+                  List.concat_map
+                    (function
+                      | Block.Tree e -> Cast.exec_order e
+                      | Block.Decl _ | Block.End_of_scope _ -> [])
+                    b.Block.elems)
+                (Array.to_list cfg.Cfg.blocks))
+            (List.filter_map (Supergraph.cfg_of sg) [ "f" ])
+        in
+        let exprs = program @ List.map e pool in
         List.iter
-          (fun strings ->
-            let ctx = Exprid.make_ctx ~strings sg.Supergraph.ids in
-            let mode = if strings then "strings" else "ids" in
+          (fun e1 ->
             List.iter
-              (fun s1 ->
-                List.iter
-                  (fun s2 ->
-                    let e1 = e s1 and e2 = e s2 in
-                    Alcotest.(check bool)
-                      (Printf.sprintf "id eq iff key eq (%s): %s / %s" mode s1
-                         s2)
-                      (String.equal (Cast.key_of_expr e1) (Cast.key_of_expr e2))
-                      (Exprid.id ctx e1 = Exprid.id ctx e2))
-                  pool)
-              pool)
-          [ false; true ]);
+              (fun e2 ->
+                let k1 = Cast.key_of_expr e1 and k2 = Cast.key_of_expr e2 in
+                Alcotest.(check bool)
+                  (Printf.sprintf "id eq iff key eq: %s / %s" k1 k2)
+                  (String.equal k1 k2)
+                  (Exprid.id ctx e1 = Exprid.id ctx e2))
+              exprs)
+          exprs);
     t "ids round-trip to rendered keys" `Quick (fun () ->
         let sg = sg_of src in
         let ctx = Exprid.make_ctx sg.Supergraph.ids in
@@ -109,57 +109,61 @@ let table_tests =
 let identity_tests =
   [
     t "strings and ids reports byte-identical at -j1/-j2" `Quick (fun () ->
+        (* a tuple id is the atom of the tuple's rendered key, the string
+           identity persisted summaries carry: over every gstate / key /
+           value combination, on first sight and again from the packed
+           cache *)
+        let it = Intern.create () in
+        let render g v =
+          Summary.tuple_key
+            {
+              Summary.t_g = g;
+              t_v =
+                Option.map
+                  (fun (k, value) ->
+                    {
+                      Summary.v_key = k;
+                      v_tree = Cast.ident k;
+                      v_value = value;
+                      v_depth = 0;
+                    })
+                  v;
+            }
+        in
+        let gs = [ "start"; "locked"; "stop" ] in
+        let vs =
+          None
+          :: List.concat_map
+               (fun k -> List.map (fun v -> Some (k, v)) [ "freed"; "start" ])
+               (List.map Cast.key_of_expr (List.map e pool))
+        in
+        for _ = 1 to 2 do
+          List.iter
+            (fun g ->
+              List.iter
+                (fun v ->
+                  let key = render g v in
+                  let id =
+                    match v with
+                    | None ->
+                        Intern.tuple it ~g:(Intern.atom it g) ~vkey:Intern.no_var
+                          ~vval:Intern.no_var
+                    | Some (k, value) ->
+                        Intern.tuple it ~g:(Intern.atom it g)
+                          ~vkey:(Intern.atom it k) ~vval:(Intern.atom it value)
+                  in
+                  Alcotest.(check int)
+                    ("tuple = atom of " ^ key) (Intern.atom it key) id;
+                  Alcotest.(check string)
+                    ("name of " ^ key) key (Intern.name it id))
+                vs)
+            gs
+        done;
         let sg = gen_sg ~seed:17 in
-        let ids_r = Engine.run sg (free ()) in
-        List.iter
-          (fun jobs ->
-            let str_r = Engine.run ~options:strings_options ~jobs sg (free ()) in
-            Alcotest.(check (list string))
-              (Printf.sprintf "reports (strings j=%d)" jobs)
-              (report_lines ids_r) (report_lines str_r);
-            Alcotest.(check (list (triple string int int)))
-              (Printf.sprintf "counters (strings j=%d)" jobs)
-              ids_r.Engine.counters str_r.Engine.counters)
-          [ 1; 2 ];
-        let ids_j2 = Engine.run ~jobs:2 sg (free ()) in
+        let j1 = Engine.run sg (free ()) in
+        let j2 = Engine.run ~jobs:2 sg (free ()) in
         Alcotest.(check (list string))
-          "ids -j2 = ids -j1" (report_lines ids_r) (report_lines ids_j2));
-    t "warm cache replays across the state-ids boundary" `Quick (fun () ->
-        (* [state_ids] is a representation choice, not an analysis
-           option: it is excluded from the options digest, so summaries
-           written by an id-mode run must be replayed verbatim by a
-           strings-mode run (and vice versa) instead of being orphaned. *)
-        Alcotest.(check string)
-          "digest ignores state_ids"
-          (Engine.options_digest Engine.default_options)
-          (Engine.options_digest strings_options);
-        let sg = gen_sg ~seed:19 in
-        let store_over dir =
-          Summary_store.create ~dir
-            ~ext_keys:
-              (Summary_store.ext_keys_of
-                 ~options_digest:(Engine.options_digest Engine.default_options)
-                 ~sources:[ "free" ])
-            ()
-        in
-        let dir = temp_dir () in
-        let uncached = Engine.run sg (free ()) in
-        let cold = Engine.run ~cache:(store_over dir) sg (free ()) in
-        let warm_store = store_over dir in
-        let warm =
-          Engine.run ~options:strings_options ~cache:warm_store sg (free ())
-        in
-        Alcotest.(check (list string))
-          "cold ids = uncached" (report_lines uncached) (report_lines cold);
-        Alcotest.(check (list string))
-          "warm strings = uncached" (report_lines uncached) (report_lines warm);
-        let st = Summary_store.stats warm_store in
-        Alcotest.(check int)
-          "strings warm run recomputes nothing" 0
-          st.Summary_store.roots_recomputed;
-        Alcotest.(check bool)
-          "strings warm run replays id-written roots" true
-          (st.Summary_store.roots_replayed > 0));
+          "ids -j2 = ids -j1" (report_lines j1) (report_lines j2));
   ]
 
 let explosion_src =
@@ -181,32 +185,25 @@ let rollback_tests =
       (fun () ->
         (* report dedup and summary sources are keyed by interned ints;
            rollback must unwind those journal entries so healthy roots'
-           output matches a run that never had the bad root, in both
-           representation modes *)
+           output matches a run that never had the bad root *)
         let budgeted = { Engine.default_options with max_nodes_per_root = 40 } in
         let healthy = Engine.run (sg_of explosion_src) (free ()) in
         Alcotest.(check int) "baseline sanity" 0
           (List.length healthy.Engine.degraded);
         let faulty_sg = sg_of (explosion_src ^ explode_fn) in
         List.iter
-          (fun (options, mode) ->
-            List.iter
-              (fun jobs ->
-                let r = Engine.run ~options ~jobs faulty_sg (free ()) in
-                Alcotest.(check (list string))
-                  (Printf.sprintf "degraded root only (%s j=%d)" mode jobs)
-                  [ "explode" ]
-                  (List.map
-                     (fun (d : Engine.degraded) -> d.Engine.d_root)
-                     r.Engine.degraded);
-                Alcotest.(check (list string))
-                  (Printf.sprintf "healthy roots identical (%s j=%d)" mode jobs)
-                  (report_lines healthy) (report_lines r))
-              [ 1; 2 ])
-          [
-            ({ budgeted with state_ids = true }, "ids");
-            ({ budgeted with state_ids = false }, "strings");
-          ]);
+          (fun jobs ->
+            let r = Engine.run ~options:budgeted ~jobs faulty_sg (free ()) in
+            Alcotest.(check (list string))
+              (Printf.sprintf "degraded root only (j=%d)" jobs)
+              [ "explode" ]
+              (List.map
+                 (fun (d : Engine.degraded) -> d.Engine.d_root)
+                 r.Engine.degraded);
+            Alcotest.(check (list string))
+              (Printf.sprintf "healthy roots identical (j=%d)" jobs)
+              (report_lines healthy) (report_lines r))
+          [ 1; 2 ]);
   ]
 
 let suite = table_tests @ identity_tests @ rollback_tests

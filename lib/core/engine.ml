@@ -101,6 +101,28 @@ let new_stats () =
     sched_waits = 0;
   }
 
+let add_stats (acc : stats) (s : stats) =
+  acc.blocks_visited <- acc.blocks_visited + s.blocks_visited;
+  acc.nodes_visited <- acc.nodes_visited + s.nodes_visited;
+  acc.cache_hits <- acc.cache_hits + s.cache_hits;
+  acc.paths_explored <- acc.paths_explored + s.paths_explored;
+  acc.calls_followed <- acc.calls_followed + s.calls_followed;
+  acc.summary_hits <- acc.summary_hits + s.summary_hits;
+  acc.pruned_branches <- acc.pruned_branches + s.pruned_branches;
+  acc.transitions_fired <- acc.transitions_fired + s.transitions_fired;
+  acc.instances_created <- acc.instances_created + s.instances_created;
+  acc.cache_probes <- acc.cache_probes + s.cache_probes;
+  acc.intern_atoms <- acc.intern_atoms + s.intern_atoms;
+  acc.intern_tuples <- acc.intern_tuples + s.intern_tuples;
+  acc.match_attempts <- acc.match_attempts + s.match_attempts;
+  acc.index_hits <- acc.index_hits + s.index_hits;
+  acc.blocks_skipped <- acc.blocks_skipped + s.blocks_skipped;
+  acc.shared_published <- acc.shared_published + s.shared_published;
+  acc.shared_replayed <- acc.shared_replayed + s.shared_replayed;
+  acc.shared_recomputed <- acc.shared_recomputed + s.shared_recomputed;
+  acc.sched_steals <- acc.sched_steals + s.sched_steals;
+  acc.sched_waits <- acc.sched_waits + s.sched_waits
+
 type degraded = { d_root : string; d_reason : string }
 
 type result = {
@@ -108,6 +130,25 @@ type result = {
   counters : (string * int * int) list;
   stats : stats;
   degraded : degraded list;
+}
+
+(* What one analysis unit — a root task, a stored root entry or a shared
+   summary unit — emitted, in the one shape the root-order merge folds.
+   Immutable once built: a computed unit's context dies with the task
+   that ran it, once [harvest] has read its tables. *)
+type unit_out = {
+  u_reports : Report.t list;  (* emission order *)
+  u_counters : (string * int * int) list;  (* sorted by rule *)
+  u_annots : (int * string list) list;
+      (* per node id, the tags the unit added over its annotation base,
+         oldest first; sorted by node id (ids are stable in-process) *)
+  u_traversed : string list;  (* sorted *)
+  u_demanded : string list;
+      (* sorted keys of the shared units the unit replayed, transitively:
+         a root that replays a publication has, observably, also
+         traversed those *)
+  u_stats : stats;
+  u_degraded : degraded list;  (* order of abandonment *)
 }
 
 (* ------------------------------------------------------------------ *)
@@ -152,21 +193,10 @@ let densify it (arr : Summary.t option array) =
    scratch context is discarded), so worker domains read it without
    synchronization beyond the store's publish/acquire handshake. *)
 type pub = {
+  p_out : unit_out;  (* the scratch context's harvest *)
   p_fsums : (string * fsum) list;
       (* the unit's summary tables, sorted by function name; replay
          re-adds their content through the demander's interner *)
-  p_reports : Report.t list;  (* emission order *)
-  p_counters : (string * int * int) list;  (* sorted by rule *)
-  p_annots : (int * string list) list;
-      (* per node id, the tags the unit's scratch context wrote (its own
-         layer over the extension base), oldest first; node ids are stable
-         in-process *)
-  p_traversed : string list;
-  p_deps : string list;
-      (* keys of shared units this unit itself demanded (transitively):
-         a root that replays this publication has, observably, also
-         traversed those *)
-  p_stats : stats;
 }
 
 (* Shared by every worker context of one extension run. *)
@@ -185,10 +215,9 @@ type ev = Flat.ev =
 (* One reversible table mutation inside a contained root. [rollback_root]
    replays the journal newest-first, so the oldest entry for a key is
    applied last — restoring exactly the pre-root value even when a key
-   was mutated several times. Journaling is armed only between
-   [snapshot_root] and the end of [run_root_contained]; scratch contexts
-   and cross-context merges never journal, so their table writes are
-   permanent as before. *)
+   was mutated several times. Journaling is armed only inside
+   [run_root_contained]; scratch contexts and cross-context merges never
+   journal, so their table writes are permanent. *)
 type undo =
   | U_annot of int * string list option
       (* eid, pre-root own tags ([None] = eid was absent) *)
@@ -237,11 +266,13 @@ type rctx = {
   traversed : (string, unit) Hashtbl.t;
   demanded : (string, unit) Hashtbl.t;
       (* keys of shared units this context replayed (transitively via
-         [p_deps]); the merge folds a publication's counters and stats in
-         exactly once iff some surviving root demanded it, which is the
-         set of units a sequential run would have paid for *)
+         their [u_demanded]); the merge folds a publication's counters and
+         stats in exactly once iff some surviving root demanded it, which
+         is the set of units a sequential run would have paid for *)
   shared : shared_ctx option;  (* Some only in a pipeline run that shares units *)
-  st : stats;
+  mutable st : stats;
+      (* inside [run_root_contained], the running root's own stats, folded
+         into the context's record only if the root survives *)
   mutable cur_ext : Sm.t;
   mutable dsp : Dispatch.t;  (* compiled form of cur_ext, kept in lockstep *)
   (* per-root analysis budget (fault containment): [fuel] counts down over
@@ -258,10 +289,9 @@ type rctx = {
          Returning it alongside the walk would box a 3-word tuple on
          every node visited — the single hottest allocation site. *)
   mutable journal : undo list;
-      (* reverse-chronological undo log of table mutations since the last
-         [snapshot_root]; rollback replays it instead of restoring deep
-         copies of every table (copying five hashtables plus a bitset per
-         root per extension dominated the engine's allocation profile) *)
+      (* reverse-chronological undo log of the running root's table
+         mutations; rollback replays it instead of restoring deep copies
+         of every table *)
   mutable journaling : bool;  (* true only inside [run_root_contained] *)
 }
 
@@ -332,14 +362,16 @@ let charge_budget rctx =
 
 (* Charge a replayed shared unit to the demanding root's node budget: the
    same units a private traversal of the callee would have charged one by
-   one ([p_stats] counts the scratch context's own visits, excluding
-   nested shared units — those are charged separately via [p_deps]). The
-   exhaustion message matches [charge_budget]'s exactly so a degraded
-   root reads the same whether the work was private or shared. *)
+   one (the publication's stats count the scratch context's own visits,
+   excluding nested shared units — those are charged separately via its
+   [u_demanded]). The exhaustion message matches [charge_budget]'s
+   exactly so a degraded root reads the same whether the work was private
+   or shared. *)
 let charge_pub rctx (p : pub) =
   if rctx.opts.max_nodes_per_root > 0 then begin
     rctx.fuel <-
-      rctx.fuel - (p.p_stats.nodes_visited + p.p_stats.instances_created);
+      rctx.fuel
+      - (p.p_out.u_stats.nodes_visited + p.p_out.u_stats.instances_created);
     if rctx.fuel <= 0 then
       raise
         (Budget_exceeded
@@ -410,6 +442,35 @@ let get_fsum rctx (cfg : Cfg.t) =
       Hashtbl.replace rctx.fsums cfg.fname s;
       s
 
+(* The one reader of a finished context's tables: everything the context
+   emitted, as an immutable [unit_out]. The stats are a sealed copy that
+   also carries the context's intern-table sizes and traversed count. *)
+let harvest rctx =
+  let sorted_keys tbl =
+    List.sort String.compare (Hashtbl.fold (fun k () acc -> k :: acc) tbl [])
+  in
+  {
+    u_reports = Report.reports rctx.collector;
+    u_counters =
+      List.sort
+        (fun (a, _, _) (b, _, _) -> String.compare a b)
+        (Hashtbl.fold (fun rule (e, c) acc -> (rule, e, c) :: acc) rctx.counters []);
+    u_annots =
+      List.sort
+        (fun (a, _) (b, _) -> Int.compare a b)
+        (Hashtbl.fold (fun eid tags acc -> (eid, List.rev tags) :: acc) rctx.annots []);
+    u_traversed = sorted_keys rctx.traversed;
+    u_demanded = sorted_keys rctx.demanded;
+    u_stats =
+      {
+        rctx.st with
+        functions_traversed = Hashtbl.length rctx.traversed;
+        intern_atoms = rctx.st.intern_atoms + Intern.n_atoms rctx.intern;
+        intern_tuples = rctx.st.intern_tuples + Intern.n_tuples rctx.intern;
+      };
+    u_degraded = List.rev rctx.degraded_roots;
+  }
+
 (* Content-level union of one function's summary tables: edges and src
    keys are re-added through [dst]'s interner, so tables from different
    contexts (shared-unit replay, canonical-digest seeding) combine no
@@ -436,12 +497,19 @@ let report_key (r : Report.t) =
 
 let j_push rctx u = if rctx.journaling then rctx.journal <- u :: rctx.journal
 
+(* Journaled insertion into a unit table (traversed / demanded); whether
+   [key] was fresh. *)
+let mark rctx tbl key =
+  let fresh = not (Hashtbl.mem tbl key) in
+  if fresh then begin
+    j_push rctx (U_mark (tbl, key));
+    Hashtbl.replace tbl key ()
+  end;
+  fresh
+
 let make_fctx rctx ~depth ~stack (cfg : Cfg.t) =
   let f = cfg.func in
-  if not (Hashtbl.mem rctx.traversed f.fname) then begin
-    j_push rctx (U_mark (rctx.traversed, f.fname));
-    Hashtbl.replace rctx.traversed f.fname ()
-  end;
+  ignore (mark rctx rctx.traversed f.fname);
   {
     cfg;
     typing = Ctyping.enter_function rctx.sg.Supergraph.typing f;
@@ -2013,21 +2081,13 @@ and shared_call rctx fctx (setup : call_setup) fname (callee_cfg : Cfg.t) : bool
                unit's own work, then each not-yet-demanded transitive dep's.
                A charge can raise [Budget_exceeded], degrading this root
                with the same reason a private traversal would have. *)
-            let first = not (Hashtbl.mem rctx.demanded key) in
-            if first then begin
-              j_push rctx (U_mark (rctx.demanded, key));
-              Hashtbl.replace rctx.demanded key ();
+            if mark rctx rctx.demanded key then begin
               charge_pub rctx p;
               List.iter
                 (fun dk ->
-                  if not (Hashtbl.mem rctx.demanded dk) then begin
-                    j_push rctx (U_mark (rctx.demanded, dk));
-                    Hashtbl.replace rctx.demanded dk ();
-                    match Shared_sums.find_published sh.sh_tbl dk with
-                    | Some dp -> charge_pub rctx dp
-                    | None -> ()
-                  end)
-                p.p_deps
+                  if mark rctx rctx.demanded dk then
+                    Option.iter (charge_pub rctx) (Shared_sums.find_published sh.sh_tbl dk))
+                p.p_out.u_demanded
             end;
             replay_pub rctx p;
             true
@@ -2049,19 +2109,12 @@ and compute_pub sh rctx fname (callee_cfg : Cfg.t) gstate : pub =
   traverse scratch callee_fctx
     { sm; store = scratch.store0; created = Iset.empty }
     [] callee_cfg.entry;
-  scratch.st.intern_atoms <- Intern.n_atoms scratch.intern;
-  scratch.st.intern_tuples <- Intern.n_tuples scratch.intern;
-  let sorted_fold tbl render =
-    List.sort compare (Hashtbl.fold (fun k v acc -> render k v :: acc) tbl [])
-  in
   {
-    p_fsums = sorted_fold scratch.fsums (fun f s -> (f, s));
-    p_reports = Report.reports scratch.collector;
-    p_counters = sorted_fold scratch.counters (fun rule (e, c) -> (rule, e, c));
-    p_annots = sorted_fold scratch.annots (fun eid tags -> (eid, List.rev tags));
-    p_traversed = sorted_fold scratch.traversed (fun f () -> f);
-    p_deps = sorted_fold scratch.demanded (fun k () -> k);
-    p_stats = scratch.st;
+    p_out = harvest scratch;
+    p_fsums =
+      List.sort
+        (fun (a, _) (b, _) -> String.compare a b)
+        (Hashtbl.fold (fun f s acc -> (f, s) :: acc) scratch.fsums []);
   }
 
 and replay_pub rctx (p : pub) : unit =
@@ -2072,6 +2125,7 @@ and replay_pub rctx (p : pub) : unit =
       | None -> ()
       | Some cfg -> merge_fsum_into (get_fsum rctx cfg) src)
     p.p_fsums;
+  let o = p.p_out in
   List.iter
     (fun r ->
       let atom = Intern.atom rctx.intern (report_key r) in
@@ -2080,20 +2134,12 @@ and replay_pub rctx (p : pub) : unit =
         Hashtbl.replace rctx.dedup atom ();
         Report.emit rctx.collector r
       end)
-    p.p_reports;
-  List.iter
-    (fun (eid, tags) -> List.iter (annotate rctx eid) tags)
-    p.p_annots;
-  List.iter
-    (fun f ->
-      if not (Hashtbl.mem rctx.traversed f) then begin
-        j_push rctx (U_mark (rctx.traversed, f));
-        Hashtbl.replace rctx.traversed f ()
-      end)
-    p.p_traversed
+    o.u_reports;
+  List.iter (fun (eid, tags) -> List.iter (annotate rctx eid) tags) o.u_annots;
+  List.iter (fun f -> ignore (mark rctx rctx.traversed f)) o.u_traversed
 (* counters and stats are NOT injected: the merge folds each demanded
    publication's accounting in exactly once. [shared_call] marks the
-   publication's [p_deps] as demanded (and budget-charges them) before
+   publication's [u_demanded] as demanded (and budget-charges them) before
    calling here. *)
 
 and handle_terminator rctx fctx walk (bt : int list) (block : Block.t) : unit =
@@ -2216,13 +2262,10 @@ let run_root rctx (ext : Sm.t) root =
    itself: every other root's reports stay byte-identical to a run that
    never had the bad root, at any [-j]. The mutable state a partial
    traversal can leak into is rolled back on failure via the undo
-   journal armed by [snapshot_root] (each table write inside a root
+   journal armed at the root boundary (each table write inside a root
    records its pre-root value; the tables are add/replace-only, so
-   replaying the journal newest-first restores them exactly). Journaling
-   replaces the earlier deep-copy snapshots, which cloned five
-   hashtables plus a bitset per root per extension and dominated the
-   engine's allocation profile — healthy roots (the common case) now pay
-   one journal cell per table write instead of a full copy up front.
+   replaying the journal newest-first restores them exactly). Healthy
+   roots, the common case, pay one journal cell per table write.
 
    - reports/dedup: partial reports would survive the merge (and their
      dedup keys would suppress identical reports from healthy roots);
@@ -2230,52 +2273,19 @@ let run_root rctx (ext : Sm.t) root =
      boundary;
    - counters, annots, traversed, demanded: partial contributions change
      later roots' view (annotations) or the result's accounting;
-   - stats: restored wholesale (one small record copy) so accounting
-     matches a run without the degraded root.
+   - stats: each root counts into a fresh record that is folded into the
+     context's only when the root survives, so accounting matches a run
+     without the degraded root.
 
-   Function summaries and the events cache are different: a snapshot
-   would have to deep-copy every Summary, so instead they are RESET on
-   failure. A truncated summary records source tuples whose paths never
-   ran to completion — a later root trusting it as complete would take a
-   cache hit that suppresses exactly the re-traversal that reports, so a
+   Function summaries are different: journaling them would mean
+   deep-copying every Summary, so instead they are RESET on failure. A
+   truncated summary records source tuples whose paths never ran to
+   completion — a later root trusting it as complete would take a cache
+   hit that suppresses exactly the re-traversal that reports, so a
    degraded root's summaries are unusable by construction. Resetting also
    discards summaries healthy earlier roots computed, but summaries are
    pure caches ("trade repeated work for nothing observable"), so the
-   cost is re-traversal, never output. The events cache is reset with the
-   annotations it lays down ([mc_branch]/[mc_return]) so both stay in
-   lockstep. *)
-
-type root_snapshot = { sn_reports : int; sn_stats : stats }
-
-let copy_stats (s : stats) = { s with blocks_visited = s.blocks_visited }
-
-let assign_stats (dst : stats) (src : stats) =
-  dst.blocks_visited <- src.blocks_visited;
-  dst.nodes_visited <- src.nodes_visited;
-  dst.cache_hits <- src.cache_hits;
-  dst.paths_explored <- src.paths_explored;
-  dst.calls_followed <- src.calls_followed;
-  dst.summary_hits <- src.summary_hits;
-  dst.pruned_branches <- src.pruned_branches;
-  dst.transitions_fired <- src.transitions_fired;
-  dst.instances_created <- src.instances_created;
-  dst.functions_traversed <- src.functions_traversed;
-  dst.cache_probes <- src.cache_probes;
-  dst.intern_atoms <- src.intern_atoms;
-  dst.intern_tuples <- src.intern_tuples;
-  dst.match_attempts <- src.match_attempts;
-  dst.index_hits <- src.index_hits;
-  dst.blocks_skipped <- src.blocks_skipped;
-  dst.shared_published <- src.shared_published;
-  dst.shared_replayed <- src.shared_replayed;
-  dst.shared_recomputed <- src.shared_recomputed;
-  dst.sched_steals <- src.sched_steals;
-  dst.sched_waits <- src.sched_waits
-
-let snapshot_root rctx =
-  rctx.journal <- [];
-  rctx.journaling <- true;
-  { sn_reports = Report.count rctx.collector; sn_stats = copy_stats rctx.st }
+   cost is re-traversal, never output. *)
 
 let apply_undo rctx = function
   | U_annot (eid, Some tags) -> Hashtbl.replace rctx.annots eid tags
@@ -2286,10 +2296,9 @@ let apply_undo rctx = function
   | U_counter (rule, None) -> Hashtbl.remove rctx.counters rule
   | U_adone fb -> Bytes.set rctx.annots_done fb '\000'
 
-let rollback_root rctx sn =
-  Report.truncate rctx.collector sn.sn_reports;
+let rollback_root rctx ~n_reports =
+  Report.truncate rctx.collector n_reports;
   List.iter (apply_undo rctx) rctx.journal;
-  assign_stats rctx.st sn.sn_stats;
   Hashtbl.reset rctx.fsums
 
 (* The root boundary: run one root under its budget, catching budget
@@ -2300,25 +2309,33 @@ let rollback_root rctx sn =
    become permanent, and cross-root work (worker merges, shared-summary
    publication) runs unjournaled. *)
 let run_root_contained rctx (ext : Sm.t) root =
-  let sn = snapshot_root rctx in
+  let outer = rctx.st and n_reports = Report.count rctx.collector in
+  rctx.st <- new_stats ();
+  rctx.journal <- [];
+  rctx.journaling <- true;
   reset_budget rctx;
-  (try run_root rctx ext root
-   with e ->
-     let reason =
-       match e with
-       | Budget_exceeded r -> r
-       | e -> "uncaught exception: " ^ Printexc.to_string e
-     in
-     rollback_root rctx sn;
-     rctx.degraded_roots <-
-       { d_root = root; d_reason = reason } :: rctx.degraded_roots);
+  (match run_root rctx ext root with
+  | () -> add_stats outer rctx.st
+  | exception e ->
+      let reason =
+        match e with
+        | Budget_exceeded r -> r
+        | e -> "uncaught exception: " ^ Printexc.to_string e
+      in
+      rollback_root rctx ~n_reports;
+      rctx.degraded_roots <-
+        { d_root = root; d_reason = reason } :: rctx.degraded_roots);
+  rctx.st <- outer;
   rctx.journaling <- false;
   rctx.journal <- []
 
-(* Installing an extension in a context compiles its dispatch tables;
-   [cur_ext] and [dsp] must stay in lockstep, so this is the only way
-   either is assigned. *)
+(* Installing an extension in a context drops the previous extension's
+   function summaries (first, so they are garbage before the compile
+   allocates) and compiles its dispatch tables; [cur_ext], [dsp] and
+   [fsums] must stay in lockstep, so this is the only way the first two
+   are assigned. *)
 let set_extension rctx (ext : Sm.t) =
+  Hashtbl.reset rctx.fsums;
   rctx.cur_ext <- ext;
   rctx.dsp <- Dispatch.compile ~sg:rctx.sg ext
 
@@ -2335,20 +2352,8 @@ let new_rctx ?(options = default_options) sg =
   make_rctx ~options ~ext:none ~dsp:(Dispatch.compile ~sg none) sg
 
 let collect_result rctx =
-  rctx.st.functions_traversed <- Hashtbl.length rctx.traversed;
-  (* fold in this context's own intern tables; worker contexts already
-     contributed theirs through [add_stats] *)
-  rctx.st.intern_atoms <- rctx.st.intern_atoms + Intern.n_atoms rctx.intern;
-  rctx.st.intern_tuples <- rctx.st.intern_tuples + Intern.n_tuples rctx.intern;
-  {
-    reports = Report.reports rctx.collector;
-    counters =
-      List.sort
-        (fun (a, _, _) (b, _, _) -> String.compare a b)
-        (Hashtbl.fold (fun rule (e, c) acc -> (rule, e, c) :: acc) rctx.counters []);
-    stats = rctx.st;
-    degraded = List.rev rctx.degraded_roots;
-  }
+  let { u_reports; u_counters; u_stats; u_degraded; _ } = harvest rctx in
+  { reports = u_reports; counters = u_counters; stats = u_stats; degraded = u_degraded }
 
 (* ------------------------------------------------------------------ *)
 (* Stored root entries: stat lists and positional annotation deltas     *)
@@ -2361,18 +2366,21 @@ let stats_to_list (s : stats) =
     s.instances_created;
   ]
 
-let add_stats_list (acc : stats) = function
+let stats_of_list = function
   | [ b; n; ch; p; cf; sh; pb; tf; ic ] ->
-      acc.blocks_visited <- acc.blocks_visited + b;
-      acc.nodes_visited <- acc.nodes_visited + n;
-      acc.cache_hits <- acc.cache_hits + ch;
-      acc.paths_explored <- acc.paths_explored + p;
-      acc.calls_followed <- acc.calls_followed + cf;
-      acc.summary_hits <- acc.summary_hits + sh;
-      acc.pruned_branches <- acc.pruned_branches + pb;
-      acc.transitions_fired <- acc.transitions_fired + tf;
-      acc.instances_created <- acc.instances_created + ic
-  | _ -> ()
+      {
+        (new_stats ()) with
+        blocks_visited = b;
+        nodes_visited = n;
+        cache_hits = ch;
+        paths_explored = p;
+        calls_followed = cf;
+        summary_hits = sh;
+        pruned_branches = pb;
+        transitions_fired = tf;
+        instances_created = ic;
+      }
+  | _ -> new_stats ()
 
 let rec iter_exprs_expr f (e : Cast.expr) =
   f e;
@@ -2489,23 +2497,20 @@ let build_annot_index (sg : Supergraph.t) =
     sg.Supergraph.tunits;
   ix
 
-(* A context's own annotation layer as a positional delta, tags oldest
-   first. Tags on nodes absent from the program index (per-rctx
+(* A unit's annotation layer ([u_annots]) as a positional delta, sorted
+   by position. Tags on nodes absent from the program index (per-rctx
    synthesised nodes, e.g. declaration initialisers) are dropped: their
    ids mean nothing outside the context that made them. *)
-let annot_delta ~ix (own : (int, string list) Hashtbl.t) =
-  let deltas =
-    Hashtbl.fold
-      (fun eid tags acc ->
-        match Hashtbl.find_opt ix.ai_nodes eid with
-        | None -> acc
-        | Some n -> (n.an_loc, n.an_printed, n.an_ctx, n.an_occ, List.rev tags) :: acc)
-      own []
-  in
+let annot_delta ~ix annots =
   List.sort
     (fun ((a : Srcloc.t), pa, ca, oa, _) ((b : Srcloc.t), pb, cb, ob, _) ->
       compare (a.file, a.line, a.col, pa, ca, oa) (b.file, b.line, b.col, pb, cb, ob))
-    deltas
+    (List.filter_map
+       (fun (eid, tags) ->
+         Option.map
+           (fun n -> (n.an_loc, n.an_printed, n.an_ctx, n.an_occ, tags))
+           (Hashtbl.find_opt ix.ai_nodes eid))
+       annots)
 
 (* Add [tags] (oldest first) to node [eid], skipping tags it already
    holds; the table keeps each node's tags newest first. *)
@@ -2514,14 +2519,41 @@ let add_tags tbl eid tags =
   Hashtbl.replace tbl eid
     (List.fold_left (fun cur t -> if List.mem t cur then cur else t :: cur) cur tags)
 
-let inject_annots base ~ix annots =
-  List.iter
-    (fun ((loc : Srcloc.t), printed, ctx, occ, tags) ->
-      let k = annot_pos_key loc ~printed ~ctx ~occ in
-      match Hashtbl.find_opt ix.ai_ids k with
-      | None -> ()
-      | Some eid -> add_tags base.annots eid tags)
-    annots
+(* A stored root entry as the unit it recorded: its positional
+   annotation delta resolves to node ids through the index (positions the
+   current program no longer has are dropped), its stat list to the nine
+   persisted counters. *)
+let out_of_entry ~ix (e : Summary_store.root_entry) =
+  {
+    u_reports = e.r_reports;
+    u_counters = e.r_counters;
+    u_annots =
+      List.sort
+        (fun (a, _) (b, _) -> Int.compare a b)
+        (List.filter_map
+           (fun ((loc : Srcloc.t), printed, ctx, occ, tags) ->
+             Option.map
+               (fun eid -> (eid, tags))
+               (Hashtbl.find_opt ix.ai_ids (annot_pos_key loc ~printed ~ctx ~occ)))
+           e.r_annots);
+    u_traversed = e.r_traversed;
+    u_demanded = [];
+    u_stats = stats_of_list e.r_stats;
+    u_degraded = [];
+  }
+
+(* The stored entry of a healthy computed root: [out_of_entry]'s
+   inverse. *)
+let entry_of_out ~ix ~key root (o : unit_out) =
+  {
+    Summary_store.r_root = root;
+    r_key = key;
+    r_reports = o.u_reports;
+    r_counters = o.u_counters;
+    r_annots = annot_delta ~ix o.u_annots;
+    r_traversed = o.u_traversed;
+    r_stats = stats_to_list o.u_stats;
+  }
 
 (* ------------------------------------------------------------------ *)
 (* The per-root pipeline                                               *)
@@ -2531,81 +2563,45 @@ let inject_annots base ~ix annots =
    shared, immutable supergraph — the only cross-root coupling in the
    sequential engine is through caches (function summaries, block src
    tuples, report dedup) that trade repeated work for nothing observable.
-   So the pipeline gives every root a private [rctx] (collector, counters,
-   stats, fsums, events cache, dedup, annotation layer) and folds the
-   results back in root order, which makes the output independent of how
-   the pool schedules roots onto domains — and lets a stored root entry
-   stand in for a computed root, since the merge cannot tell them apart. *)
-
-(* Fold a root's own annotation layer into [base], preserving each node's
-   tag insertion order (annotate prepends). *)
-let merge_annots base worker =
-  Hashtbl.iter (fun eid tags -> add_tags base eid (List.rev tags)) worker
-
-let add_stats (acc : stats) (s : stats) =
-  acc.blocks_visited <- acc.blocks_visited + s.blocks_visited;
-  acc.nodes_visited <- acc.nodes_visited + s.nodes_visited;
-  acc.cache_hits <- acc.cache_hits + s.cache_hits;
-  acc.paths_explored <- acc.paths_explored + s.paths_explored;
-  acc.calls_followed <- acc.calls_followed + s.calls_followed;
-  acc.summary_hits <- acc.summary_hits + s.summary_hits;
-  acc.pruned_branches <- acc.pruned_branches + s.pruned_branches;
-  acc.transitions_fired <- acc.transitions_fired + s.transitions_fired;
-  acc.instances_created <- acc.instances_created + s.instances_created;
-  acc.cache_probes <- acc.cache_probes + s.cache_probes;
-  acc.intern_atoms <- acc.intern_atoms + s.intern_atoms;
-  acc.intern_tuples <- acc.intern_tuples + s.intern_tuples;
-  acc.match_attempts <- acc.match_attempts + s.match_attempts;
-  acc.index_hits <- acc.index_hits + s.index_hits;
-  acc.blocks_skipped <- acc.blocks_skipped + s.blocks_skipped;
-  acc.shared_published <- acc.shared_published + s.shared_published;
-  acc.shared_replayed <- acc.shared_replayed + s.shared_replayed;
-  acc.shared_recomputed <- acc.shared_recomputed + s.shared_recomputed;
-  acc.sched_steals <- acc.sched_steals + s.sched_steals;
-  acc.sched_waits <- acc.sched_waits + s.sched_waits
-
-(* Stamp a worker context's intern-table sizes into its stats so the
-   root-order merge can fold them like any other counter. *)
-let seal_worker_stats (w : rctx) =
-  w.st.intern_atoms <- Intern.n_atoms w.intern;
-  w.st.intern_tuples <- Intern.n_tuples w.intern
-
-(* What the pipeline does with one root of an extension run. *)
-type plan =
-  | Compute  (* analyse it in a private context on the pool *)
-  | Replay of Summary_store.root_entry * annot_index
-      (* merge a stored root entry; its positional annotation delta is
-         resolved against the index *)
+   So the pipeline runs every root in a private [rctx] (collector,
+   counters, stats, fsums, dedup, annotation layer), keeps only what the
+   root emitted ([harvest]) and folds those outputs in root order, which
+   makes the result independent of how the pool schedules roots onto
+   domains — and lets a stored root entry stand in for a computed root,
+   since both are the same [unit_out] to the merge. *)
 
 (* The one per-root driver behind uncached [-jN], cached [check] at any
-   [-j] and [xgcc serve]. [plans] has one entry per callgraph root, in
-   root order. [Compute] roots run as individual tasks on a work-stealing
+   [-j] and [xgcc serve]. [stored] has one entry per callgraph root, in
+   root order: the stored output of a root to replay, or [None] for a
+   root to compute. Those run as individual tasks on a work-stealing
    schedule ({!Pool.run_sched}), bottom-up by callgraph height so short
    shared callees publish before the tall callers that demand them. Each
    runs in a private context whose annotation base is [base.annots],
    read-only while the pool runs and never copied: the context writes only
-   the tags it adds, which is the delta the merge and the store need.
+   the tags it adds. A task returns its context's harvest, so the context
+   dies with the task.
 
-   Every root is then merged in root order — reports re-deduplicated by
-   identity key, counters and stats summed, annotations, traversed
-   functions and degraded notes folded — so the result is byte-identical
-   at any [-j], replayed or recomputed. With [share], pure-entry callee
-   units are computed once fleet-wide and replayed into each demanding
-   root (see [shared_call]); that needs [caching] on and per-root timeouts
-   off (a wall-clock deadline is timing-dependent, so which unit blows it
-   is not reproducible). Node budgets compose with sharing: a replayed
-   unit is charged to the demanding root's fuel exactly as a private
-   traversal would have been (see [charge_pub]).
+   Every root's output is then folded in root order by one [merge] —
+   reports re-deduplicated by identity key, counters and stats summed,
+   annotations, traversed functions and degraded notes folded — so the
+   result is byte-identical at any [-j], replayed or recomputed. With
+   [share], pure-entry callee units are computed once fleet-wide and
+   replayed into each demanding root (see [shared_call]); that needs
+   [caching] on and per-root timeouts off (a wall-clock deadline is
+   timing-dependent, so which unit blows it is not reproducible). Node
+   budgets compose with sharing: a replayed unit is charged to the
+   demanding root's fuel exactly as a private traversal would have been
+   (see [charge_pub]).
 
-   Returns the healthy computed roots with their contexts, in root order,
-   for the caller to persist. *)
-let run_roots ~jobs ~heights ~share base (plans : plan array) =
+   Returns the outputs of the healthy computed roots, in root order, for
+   the caller to persist. *)
+let run_roots ~jobs ~heights ~share base (stored : unit_out option array) =
   let ext = base.cur_ext in
   let roots = Array.of_list (Supergraph.roots base.sg) in
   let todo =
     Array.of_list
       (List.filter
-         (fun i -> match plans.(i) with Compute -> true | Replay _ -> false)
+         (fun i -> Option.is_none stored.(i))
          (List.init (Array.length roots) Fun.id))
   in
   let n = Array.length todo in
@@ -2630,75 +2626,72 @@ let run_roots ~jobs ~heights ~share base (plans : plan array) =
             ~dsp:base.dsp base.sg
         in
         run_root_contained rctx ext roots.(todo.(j));
-        (* summaries are per-root scratch state; the merge reads only
-           deltas, so release them with the task *)
-        Hashtbl.reset rctx.fsums;
-        seal_worker_stats rctx;
-        rctx)
+        harvest rctx)
+  in
+  (* a task that failed outside the root boundary (worker setup) emitted
+     nothing but its root's degraded note *)
+  let failed root e =
+    {
+      u_reports = [];
+      u_counters = [];
+      u_annots = [];
+      u_traversed = [];
+      u_demanded = [];
+      u_stats = new_stats ();
+      u_degraded = [ { d_root = root; d_reason = "worker failed: " ^ Printexc.to_string e } ];
+    }
+  in
+  let next_task = ref 0 in
+  let outs =
+    (* [Array.init] tabulates in index order, so tasks pair up with the
+       roots to compute in root order *)
+    Array.init (Array.length roots) (fun i ->
+        match stored.(i) with
+        | Some o -> o
+        | None -> (
+            let task = tasks.(!next_task) in
+            incr next_task;
+            match task with Ok o -> o | Error e -> failed roots.(i) e))
   in
   (* The dedup table is fresh per extension rather than shared across
      extensions the way one mutable table is in the sequential path —
      report identity keys embed the checker name, so the observable result
      is the same and no mutable state leaks between extension runs. *)
   let dedup : (string, unit) Hashtbl.t = Hashtbl.create 64 in
-  let emit r =
-    let key = report_key r in
-    if not (Hashtbl.mem dedup key) then begin
-      Hashtbl.replace dedup key ();
-      Report.emit base.collector r
-    end
-  in
-  let add_counter rule e c =
-    let e0, c0 = Option.value (Hashtbl.find_opt base.counters rule) ~default:(0, 0) in
-    Hashtbl.replace base.counters rule (e0 + e, c0 + c)
-  in
-  let degrade d = base.degraded_roots <- d :: base.degraded_roots in
   let demanded : (string, unit) Hashtbl.t = Hashtbl.create 64 in
-  let next_task = ref 0 in
-  let healthy = ref [] in
-  Array.iteri
-    (fun i root ->
-      match plans.(i) with
-      | Replay ((e : Summary_store.root_entry), ix) ->
-          List.iter emit e.r_reports;
-          List.iter (fun (rule, ex, cx) -> add_counter rule ex cx) e.r_counters;
-          inject_annots base ~ix e.r_annots;
-          List.iter (fun f -> Hashtbl.replace base.traversed f ()) e.r_traversed;
-          add_stats_list base.st e.r_stats
-      | Compute -> (
-          let task = tasks.(!next_task) in
-          incr next_task;
-          match task with
-          | Error e ->
-              (* the task failed outside the root boundary (worker setup) —
-                 degrade this root, keep the rest *)
-              degrade
-                { d_root = root; d_reason = "worker failed: " ^ Printexc.to_string e }
-          | Ok (w : rctx) ->
-              (* a degraded root was rolled back, so its tables are empty
-                 and only its note and stats remain to fold *)
-              List.iter emit (Report.reports w.collector);
-              Hashtbl.iter (fun rule (e, c) -> add_counter rule e c) w.counters;
-              merge_annots base.annots w.annots;
-              Hashtbl.iter (fun f () -> Hashtbl.replace base.traversed f ()) w.traversed;
-              Hashtbl.iter (fun k () -> Hashtbl.replace demanded k ()) w.demanded;
-              add_stats base.st w.st;
-              List.iter degrade (List.rev w.degraded_roots);
-              if w.degraded_roots = [] then healthy := (root, w) :: !healthy))
-    roots;
-  (* Fold each shared unit's accounting in exactly once, in sorted key
-     order — but only units some surviving root demanded. A publication
-     whose every demander was rolled back contributes nothing, exactly as
-     its traversal would have been rolled back sequentially. *)
+  let merge (o : unit_out) =
+    List.iter
+      (fun r ->
+        let key = report_key r in
+        if not (Hashtbl.mem dedup key) then begin
+          Hashtbl.replace dedup key ();
+          Report.emit base.collector r
+        end)
+      o.u_reports;
+    List.iter
+      (fun (rule, e, c) ->
+        let e0, c0 = Option.value (Hashtbl.find_opt base.counters rule) ~default:(0, 0) in
+        Hashtbl.replace base.counters rule (e0 + e, c0 + c))
+      o.u_counters;
+    List.iter (fun (eid, tags) -> add_tags base.annots eid tags) o.u_annots;
+    List.iter (fun f -> Hashtbl.replace base.traversed f ()) o.u_traversed;
+    List.iter (fun k -> Hashtbl.replace demanded k ()) o.u_demanded;
+    add_stats base.st o.u_stats;
+    base.degraded_roots <- List.rev_append o.u_degraded base.degraded_roots
+  in
+  Array.iter merge outs;
+  (* Fold each shared unit in exactly once, in sorted key order — but only
+     units some surviving root demanded. A publication whose every
+     demander was rolled back contributes nothing, exactly as its
+     traversal would have been rolled back sequentially. Its reports,
+     annotations and traversed functions already came in through the
+     demanding roots' replays, so folding them again changes nothing:
+     what a publication adds here is its counters and stats. *)
   (match sh with
   | None -> ()
   | Some sh ->
       Shared_sums.fold_published sh.sh_tbl
-        (fun key (p : pub) () ->
-          if Hashtbl.mem demanded key then begin
-            List.iter (fun (rule, e, c) -> add_counter rule e c) p.p_counters;
-            add_stats base.st p.p_stats
-          end)
+        (fun key (p : pub) () -> if Hashtbl.mem demanded key then merge p.p_out)
         ();
       let ss = Shared_sums.stats sh.sh_tbl in
       base.st.shared_published <- base.st.shared_published + ss.Shared_sums.published;
@@ -2706,17 +2699,19 @@ let run_roots ~jobs ~heights ~share base (plans : plan array) =
         base.st.shared_recomputed + ss.Shared_sums.recomputed;
       base.st.sched_waits <- base.st.sched_waits + ss.Shared_sums.waits);
   base.st.sched_steals <- base.st.sched_steals + sched.Pool.stolen;
-  List.rev !healthy
+  List.filter_map
+    (fun i -> if outs.(i).u_degraded = [] then Some (roots.(i), outs.(i)) else None)
+    (Array.to_list todo)
 
 (* ------------------------------------------------------------------ *)
 (* Persistent-cache execution                                          *)
 (* ------------------------------------------------------------------ *)
 
-(* The cached mode is the per-root pipeline with a plan from the store:
-   every root is an independent computation in a private rctx, merged in
-   root order by [run_roots]. That equivalence (established for [-j]) is
-   what lets a warm run replay a stored per-root result verbatim — the
-   merge cannot tell a replayed root from a recomputed one. Cached
+(* The cached mode is the per-root pipeline fed from the store: every
+   root is an independent computation in a private rctx, merged in root
+   order by [run_roots]. That equivalence (established for [-j]) is what
+   lets a warm run replay a stored per-root result verbatim — a stored
+   entry and a recomputed root are the same [unit_out] to the merge. Cached
    function summaries are deliberately NOT seeded into live output
    traversals: a seeded summary would take summary hits that suppress
    exactly the re-traversals that emit reports, so the warm output would
@@ -2908,21 +2903,19 @@ let run_extension_cached ~jobs ~store ~ext_key ~body_hash ~decls_hash
               List.sort String.compare
                 (Hashtbl.fold (fun k () acc -> k :: acc) s.rets [])
             in
+            let o = harvest scratch in
             let b = Wire.writer () in
             Wire.int b (Array.length bs);
             Array.iter (Summary.to_bin b) bs;
             Array.iter (Summary.to_bin b) sfx;
             Wire.list b Wire.string rets;
-            Wire.list b Report.to_bin (Report.reports scratch.collector);
+            Wire.list b Report.to_bin o.u_reports;
             Wire.list b
-              (fun b (rule, (e, c)) ->
+              (fun b (rule, e, c) ->
                 Wire.string b rule;
                 Wire.int b e;
                 Wire.int b c)
-              (List.sort compare
-                 (Hashtbl.fold
-                    (fun rule ec acc -> (rule, ec) :: acc)
-                    scratch.counters []));
+              o.u_counters;
             Wire.list b
               (fun b ((loc : Srcloc.t), printed, actx, occ, tags) ->
                 Wire.string b loc.file;
@@ -2932,7 +2925,7 @@ let run_extension_cached ~jobs ~store ~ext_key ~body_hash ~decls_hash
                 Wire.string b actx;
                 Wire.int b occ;
                 Wire.list b Wire.string tags)
-              (annot_delta ~ix scratch.annots);
+              (annot_delta ~ix o.u_annots);
             Some
               (bs, sfx, rets, Fingerprint.of_string ~salt:"canon-1" (Wire.contents b)))
   in
@@ -2994,45 +2987,29 @@ let run_extension_cached ~jobs ~store ~ext_key ~body_hash ~decls_hash
       ]
   in
   let roots = Supergraph.roots base.sg in
-  let plans =
+  let stored =
     Array.of_list
       (List.map
          (fun r ->
-           match
-             Summary_store.load_root store ~ext:ext_key ~root:r ~key:(root_key r)
-           with
-           | Some e ->
-               if List.exists (Hashtbl.mem unchanged) (closures r) then
-                 sst.Summary_store.roots_salvaged <-
-                   sst.Summary_store.roots_salvaged + 1;
-               Replay (e, ix)
-           | None -> Compute)
+           Summary_store.load_root store ~ext:ext_key ~root:r ~key:(root_key r)
+           |> Option.map (fun e ->
+                  if List.exists (Hashtbl.mem unchanged) (closures r) then
+                    sst.Summary_store.roots_salvaged <-
+                      sst.Summary_store.roots_salvaged + 1;
+                  out_of_entry ~ix e))
          roots)
   in
   (* Shared units stay off: a publication's stats are folded into the run
      once, not into the demanding root, so a stored root entry would lose
      that accounting and a warm replay would print different stats. *)
-  let computed = run_roots ~jobs ~heights ~share:false base plans in
+  let computed = run_roots ~jobs ~heights ~share:false base stored in
   (* A degraded root is not among [computed]: an empty entry would replay
      as "this root is clean" on the next warm run. *)
   if Summary_store.persist store then
     List.iter
-      (fun (root, (w : rctx)) ->
+      (fun (root, o) ->
         Summary_store.store_root store ~ext:ext_key
-          {
-            Summary_store.r_root = root;
-            r_key = root_key root;
-            r_reports = Report.reports w.collector;
-            r_counters =
-              List.sort
-                (fun (a, _, _) (b, _, _) -> String.compare a b)
-                (Hashtbl.fold (fun rule (e, c) acc -> (rule, e, c) :: acc) w.counters []);
-            r_annots = annot_delta ~ix w.annots;
-            r_traversed =
-              List.sort String.compare
-                (Hashtbl.fold (fun f () acc -> f :: acc) w.traversed []);
-            r_stats = stats_to_list w.st;
-          })
+          (entry_of_out ~ix ~key:(root_key root) root o))
       computed
 
 let run_cached ?options ~jobs store sg exts =
@@ -3079,7 +3056,6 @@ let run_cached ?options ~jobs store sg exts =
   let ix = build_annot_index sg in
   List.iteri
     (fun i ext ->
-      Hashtbl.reset rctx.fsums;
       run_extension_cached ~jobs ~store ~ext_key:(Summary_store.ext_key store i)
         ~body_hash ~decls_hash ~closures ~heights ~ix rctx ext)
     exts;
@@ -3092,23 +3068,17 @@ let run ?options ?(jobs = 1) ?cache sg exts =
   | Some store -> run_cached ?options ~jobs store sg exts
   | None ->
       let rctx = new_rctx ?options sg in
-      if jobs <= 1 then
-        List.iter
-          (fun ext ->
-            (* summaries are per-extension *)
-            Hashtbl.reset rctx.fsums;
-            run_extension rctx ext)
-          exts
+      if jobs <= 1 then List.iter (run_extension rctx) exts
       else begin
         (* callout registration mutates a global table: force it before
            domains race on first lookup *)
         Callout.install_builtins ();
         let heights = Callgraph.acyclic_heights sg.Supergraph.callgraph in
-        let plans = Array.make (List.length (Supergraph.roots sg)) Compute in
+        let stored = Array.make (List.length (Supergraph.roots sg)) None in
         List.iter
           (fun ext ->
             set_extension rctx ext;
-            ignore (run_roots ~jobs ~heights ~share:true rctx plans))
+            ignore (run_roots ~jobs ~heights ~share:true rctx stored))
           exts
       end;
       collect_result rctx
@@ -3118,7 +3088,6 @@ let run_with_summaries ?options sg exts =
   let per_ext =
     List.map
       (fun ext ->
-        Hashtbl.reset rctx.fsums;
         run_extension rctx ext;
         let summaries = Hashtbl.create 16 in
         Hashtbl.iter

@@ -82,9 +82,8 @@ type stats = {
           pure-entry callees — computed once in a scratch context and
           published to the fleet-wide store *)
   mutable shared_replayed : int;
-      (** publications replayed into demanding roots' contexts (each
-          replay stands in for a traversal the old chunked mode would
-          have re-run) *)
+      (** publications replayed into demanding roots' contexts, each
+          standing in for a private traversal of the callee *)
   mutable shared_recomputed : int;
       (** duplicate publications dropped first-writer-wins — the "a
           shared unit was computed more than once" tripwire. Structurally
@@ -150,7 +149,8 @@ val run :
     private root context over the shared supergraph. A root context reads
     the annotations earlier extensions left as a read-only base (shared,
     never copied, so setup does not grow with the annotation count) and
-    writes only its own tags.
+    writes only its own tags. A task keeps only what its root emitted, so
+    the context dies with the task.
     Callees entered with no active instances (characterized by name and
     inbound global state alone) are {e shared summary units}: computed
     exactly once fleet-wide in a scratch context, published to a
@@ -173,9 +173,9 @@ val run :
     one root's traversal are not visible to {e other roots of the same
     extension} in the per-root pipeline.
 
-    [cache] hands the same pipeline a per-root plan from the store: roots
-    whose transitive-callee closure hash matches a stored entry are
-    replayed verbatim and merged in root order with the rest, which are
+    [cache] hands the same pipeline the stored output of every root whose
+    transitive-callee closure hash matches a stored entry: it is replayed
+    verbatim and merged in root order with the rest, which are
     computed on the pool ([jobs] applies to them) and written back
     (unless the store is read-only; a degraded root is never stored).
     Shared units stay off for persisted roots, whose stored stats must

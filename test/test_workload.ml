@@ -15,6 +15,82 @@ let detect (g : Gen.t) =
   in
   (List.length (List.filter found g.Gen.planted), List.length g.Gen.planted, result)
 
+(* --- mode equivalence ------------------------------------------------ *)
+
+let rec rm_rf path =
+  if Sys.file_exists path then
+    if Sys.is_directory path then begin
+      Array.iter (fun f -> rm_rf (Filename.concat path f)) (Sys.readdir path);
+      Sys.rmdir path
+    end
+    else Sys.remove path
+
+let with_temp_dirs n f =
+  let dirs =
+    List.init n (fun _ ->
+        let d = Filename.temp_file "xgcc_test_modes" "" in
+        Sys.remove d;
+        Sys.mkdir d 0o755;
+        d)
+  in
+  Fun.protect ~finally:(fun () -> List.iter rm_rf dirs) (fun () -> f dirs)
+
+let mode_checkers = [ "free"; "lock"; "null"; "leak" ]
+
+(* Every execution mode of one generated program, in run order, as
+   (mode, (emission-order report lines, degraded roots)). The per-root
+   pipeline modes ([-jN] and cached runs at any [-j], each root in a
+   private context) come first and are the only ones run under a node
+   budget: sequential [-j1] shares summaries across roots, so it charges
+   budgets differently. Without a budget, [-j1], warm runs and a memory
+   store follow. *)
+let run_modes ~options seed =
+  let files = Gen.generate_files ~seed ~n_files:3 ~funcs_per_file:6 ~bug_rate:0.5 in
+  let sg =
+    Supergraph.build
+      (List.map (fun (name, (g : Gen.t)) -> Cparse.parse_tunit ~file:name g.Gen.source) files)
+  in
+  let ext_keys =
+    Summary_store.ext_keys_of ~options_digest:(Engine.options_digest options)
+      ~sources:mode_checkers
+  in
+  let run ?cache jobs =
+    let exts =
+      List.map (fun n -> (Option.get (Registry.find n)).Registry.e_make ()) mode_checkers
+    in
+    let r = Engine.run ~options ~jobs ?cache sg exts in
+    ( List.map Report.to_string r.Engine.reports,
+      List.map (fun (d : Engine.degraded) -> (d.Engine.d_root, d.Engine.d_reason)) r.Engine.degraded )
+  in
+  with_temp_dirs 3 (fun dirs ->
+      let d1, d2, dm = match dirs with [ a; b; c ] -> (a, b, c) | _ -> assert false in
+      let disk d = Summary_store.create ~dir:d ~ext_keys () in
+      let mem = Summary_store.create ~dir:dm ~persist:false ~memory:true ~ext_keys () in
+      let modes =
+        [
+          ("-j2", fun () -> run 2);
+          ("-j4", fun () -> run 4);
+          ("cached cold -j1", fun () -> run ~cache:(disk d1) 1);
+          ("cached cold -j2", fun () -> run ~cache:(disk d2) 2);
+        ]
+        @
+        if options.Engine.max_nodes_per_root > 0 then []
+        else
+          [
+            ("-j1", fun () -> run 1);
+            ("cached warm -j2", fun () -> run ~cache:(disk d2) 2);
+            ("cached warm -j2 over a -j1 store", fun () -> run ~cache:(disk d1) 2);
+            ("memory store cold", fun () -> run ~cache:mem 1);
+            ("memory store warm -j2", fun () -> run ~cache:mem 2);
+          ]
+      in
+      List.map (fun (name, f) -> (name, f ())) modes)
+
+(* The first mode whose output differs from the first mode's. *)
+let disagreement = function
+  | [] -> None
+  | (_, first) :: rest -> Option.map fst (List.find_opt (fun (_, out) -> out <> first) rest)
+
 let suite =
   [
     t "generation is deterministic per seed" `Quick (fun () ->
@@ -192,6 +268,25 @@ let suite =
              Engine.check_source ~options ~file:"g.c" g.Gen.source (all_checkers ())
            in
            List.length r.Engine.reports >= 0));
+    QCheck_alcotest.to_alcotest
+      (QCheck2.Test.make ~name:"every execution mode gives the same reports" ~count:15
+         QCheck2.Gen.(int_range 1 5000)
+         (fun seed ->
+           match disagreement (run_modes ~options:Engine.default_options seed) with
+           | None -> true
+           | Some mode -> QCheck2.Test.fail_reportf "seed %d: %s differs from -j2" seed mode));
+    QCheck_alcotest.to_alcotest
+      (QCheck2.Test.make
+         ~name:"per-root pipeline modes agree on reports and degraded roots under a node budget"
+         ~count:15
+         QCheck2.Gen.(tup2 (int_range 1 5000) (int_range 10 40))
+         (fun (seed, budget) ->
+           let options = { Engine.default_options with Engine.max_nodes_per_root = budget } in
+           match disagreement (run_modes ~options seed) with
+           | None -> true
+           | Some mode ->
+               QCheck2.Test.fail_reportf "seed %d, budget %d: %s differs from -j2" seed
+                 budget mode));
     t "bug kinds map to checkers" `Quick (fun () ->
         List.iter
           (fun k ->

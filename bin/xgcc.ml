@@ -536,7 +536,9 @@ let do_dump_cfg files fname =
           Format.eprintf "no function '%s'@." f;
           exit 2)
   | None ->
-      Hashtbl.iter (fun _ cfg -> Format.printf "%a@.@." Cfg.pp cfg) sg.Supergraph.cfgs
+      Array.iter
+        (fun f -> Option.iter (Format.printf "%a@.@." Cfg.pp) (Supergraph.cfg_of sg f))
+        sg.Supergraph.flat.Flat.fnames
 
 let dump_cfg_cmd =
   let files = Arg.(non_empty & pos_all file [] & info [] ~docv:"FILE") in
@@ -547,12 +549,13 @@ let dump_cfg_cmd =
     (Cmd.info "dump-cfg" ~doc:"Print control-flow graphs")
     Term.(const do_dump_cfg $ files $ fname)
 
+(* In definition order, so the output follows the source. *)
 let print_summary_tables sg summaries =
-  Hashtbl.iter
-    (fun fname (bs, sfx) ->
-      match Supergraph.cfg_of sg fname with
-      | None -> ()
-      | Some cfg ->
+  Array.iter
+    (fun fname ->
+      match (Hashtbl.find_opt summaries fname, Supergraph.cfg_of sg fname) with
+      | None, _ | _, None -> ()
+      | Some (bs, sfx), Some cfg ->
           Format.printf "@[<v>=== %s ===@," fname;
           Array.iteri
             (fun bid (block_sum : Summary.t) ->
@@ -567,7 +570,7 @@ let print_summary_tables sg summaries =
               Format.printf "%a@]@," Block.pp_terminator b.Block.term)
             bs;
           Format.printf "@]@.")
-    summaries
+    sg.Supergraph.flat.Flat.fnames
 
 (* Summaries are per-extension: print each extension's tables under its
    own banner (a single extension keeps the old flat layout). *)
@@ -1066,8 +1069,9 @@ let main_cmd =
 
 (* The traversal allocates short-lived state clones at a rate that keeps the
    default 256Kw minor heap promoting live data; a 4Mw nursery lets most
-   per-path state die young (measured in the gc_minor_heap bench line). An
-   explicit s=... in OCAMLRUNPARAM/CAMLRUNPARAM still wins. *)
+   per-path state die young (measured by the state_interning bench line's
+   ns_per_run_4Mw_minor). An explicit s=... in OCAMLRUNPARAM/CAMLRUNPARAM
+   still wins. *)
 let () =
   let user_set_minor_heap v =
     match Sys.getenv_opt v with

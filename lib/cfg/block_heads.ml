@@ -8,7 +8,7 @@
    pattern-root requirements against the summary to decide whether the
    block can fire anything at all.
 
-   The walk below must mirror [Engine.events_of_block] exactly: a
+   The walk below must mirror [Flat.events_of_block] exactly: a
    declaration with an initialiser synthesises [x = init], so its summary
    contributes the initialiser's subtrees plus an identifier node and an
    assignment node; branch conditions, switch scrutinees and returned

@@ -18,11 +18,11 @@
      rebuild each block's event list (and re-synthesise declaration-
      initialiser assignments) behind a [sprintf]-keyed cache in every
      root, which was a measurable share of per-run allocation;
-   - terminator annotations ([annots]): the [mc_branch]/[mc_return]
-     tags the engine lays down when it first materialises a block's
-     events. They are recorded here and applied by the engine on the
-     first visit per root context (tracked by a per-context bitset), so
-     annotation timing matches the per-root cache it replaces.
+   - terminator tags ([term_tags]): the [mc_branch] tag of every branch
+     condition / switch scrutinee root and the [mc_return] tag of every
+     returned expression, keyed by node id. They depend only on the CFG,
+     so the engine reads them here, beside each context's own
+     annotations, instead of laying them down per context.
 
    Everything here is immutable after [build] and shared read-only
    across engine worker domains, like the rest of the supergraph. *)
@@ -52,13 +52,11 @@ type t = {
   call_off : int array;  (* length n_blocks+1 *)
   call_names : string array;  (* sorted distinct callee names, CSR *)
   events : ev array array;  (* flat id -> node events, execution order *)
-  annots : (Cast.expr * string) array array;
-      (* flat id -> terminator annotations to lay down on first visit *)
+  term_tags : (int, string) Hashtbl.t;  (* node id -> terminator tag *)
 }
 
 (* Mirrors [Block_heads.of_block]'s walk: one pass computes both the
-   event array and the terminator annotations so they cannot drift
-   apart. *)
+   event array and the terminator tag so they cannot drift apart. *)
 let events_of_block (b : Block.t) =
   let of_elem = function
     | Block.Tree e -> List.map (fun n -> Ev_node n) (Cast.exec_order e)
@@ -74,18 +72,17 @@ let events_of_block (b : Block.t) =
         | None -> [ Ev_fresh d.Cast.dname ])
     | Block.End_of_scope vars -> [ Ev_scope_end vars ]
   in
-  let term_evs, annots =
+  let term_evs, tag =
     match b.Block.term with
     | Block.Branch (c, _, _) ->
-        (List.map (fun n -> Ev_node n) (Cast.exec_order c), [ (c, "mc_branch") ])
+        (List.map (fun n -> Ev_node n) (Cast.exec_order c), Some (c, "mc_branch"))
     | Block.Switch (e, _) ->
-        (List.map (fun n -> Ev_node n) (Cast.exec_order e), [ (e, "mc_branch") ])
+        (List.map (fun n -> Ev_node n) (Cast.exec_order e), Some (e, "mc_branch"))
     | Block.Return (Some e) ->
-        (List.map (fun n -> Ev_node n) (Cast.exec_order e), [ (e, "mc_return") ])
-    | Block.Jump _ | Block.Return None | Block.Exit -> ([], [])
+        (List.map (fun n -> Ev_node n) (Cast.exec_order e), Some (e, "mc_return"))
+    | Block.Jump _ | Block.Return None | Block.Exit -> ([], None)
   in
-  ( Array.of_list (List.concat_map of_elem b.Block.elems @ term_evs),
-    Array.of_list annots )
+  (Array.of_list (List.concat_map of_elem b.Block.elems @ term_evs), tag)
 
 let build (cfgs : Cfg.t list) : t =
   let cfgs = Array.of_list cfgs in
@@ -103,7 +100,7 @@ let build (cfgs : Cfg.t list) : t =
   let head_mask = Array.make n_blocks 0 in
   let call_off = Array.make (n_blocks + 1) 0 in
   let events = Array.make n_blocks [||] in
-  let annots = Array.make n_blocks [||] in
+  let term_tags = Hashtbl.create (max 16 (n_blocks / 2)) in
   (* first pass: per-block successor/call counts, heads, events *)
   let succs : int list array = Array.make n_blocks [] in
   let calls : string list array = Array.make n_blocks [] in
@@ -120,9 +117,11 @@ let build (cfgs : Cfg.t list) : t =
           let h = Block_heads.of_block b in
           head_mask.(fb) <- h.Block_heads.mask;
           calls.(fb) <- h.Block_heads.calls;
-          let evs, ans = events_of_block b in
+          let evs, tag = events_of_block b in
           events.(fb) <- evs;
-          annots.(fb) <- ans)
+          Option.iter
+            (fun ((e : Cast.expr), tag) -> Hashtbl.replace term_tags e.eid tag)
+            tag)
         cfg.Cfg.blocks)
     cfgs;
   for fb = 0 to n_blocks - 1 do
@@ -151,7 +150,7 @@ let build (cfgs : Cfg.t list) : t =
     call_off;
     call_names;
     events;
-    annots;
+    term_tags;
   }
 
 let n_functions t = Array.length t.fnames
@@ -183,7 +182,7 @@ let calls t fb =
   Array.to_list (Array.sub t.call_names t.call_off.(fb) (t.call_off.(fb + 1) - t.call_off.(fb)))
 
 let events t fb = t.events.(fb)
-let annots t fb = t.annots.(fb)
+let term_tag t eid = Hashtbl.find_opt t.term_tags eid
 
 (* Approximate size of the flat tables themselves (not the AST nodes the
    event arrays point into), for the [--stats] memory line. *)
@@ -200,10 +199,8 @@ let table_bytes t =
     + arr_words (Array.length t.call_off)
     + arr_words (Array.length t.call_names)
     + arr_words (Array.length t.events)
-    + arr_words (Array.length t.annots)
     + Array.fold_left (fun acc evs -> acc + arr_words (Array.length evs)) 0 t.events
-    + Array.fold_left
-        (fun acc ans -> acc + arr_words (Array.length ans) + (3 * Array.length ans))
-        0 t.annots
+    + (let h = Hashtbl.stats t.term_tags in
+       arr_words h.Hashtbl.num_buckets + (4 * h.Hashtbl.num_bindings))
   in
   (words * word) + (Bigarray.Array1.dim t.succ * word)

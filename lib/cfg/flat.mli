@@ -6,8 +6,9 @@
     summaries and per-block node-event sequences live in contiguous
     arrays indexed by flat id, so the engine's per-block work is array
     reads instead of string-keyed hashtable probes and per-root list
-    rebuilding. Immutable after [build]; shared read-only across engine
-    worker domains. *)
+    rebuilding. The [mc_branch]/[mc_return] terminator tags, which depend
+    only on the CFG, live here too, keyed by node id. Immutable after
+    [build]; shared read-only across engine worker domains. *)
 
 (** One traversal event. The engine aliases this type: a block's events
     are its elements' subexpressions in execution order, declarations
@@ -39,10 +40,9 @@ type t = {
   call_off : int array;  (** length [n_blocks+1], CSR offsets *)
   call_names : string array;  (** sorted distinct callee names per block *)
   events : ev array array;  (** flat id -> node events, execution order *)
-  annots : (Cast.expr * string) array array;
-      (** flat id -> [mc_branch]/[mc_return] terminator annotations the
-          engine lays down on its first visit of the block per root
-          context *)
+  term_tags : (int, string) Hashtbl.t;
+      (** node id -> [mc_branch] for every branch condition and switch
+          scrutinee root, [mc_return] for every returned expression *)
 }
 
 val build : Cfg.t list -> t
@@ -67,7 +67,10 @@ val calls : t -> int -> string list
 (** The block's named-call callees (sorted, distinct). *)
 
 val events : t -> int -> ev array
-val annots : t -> int -> (Cast.expr * string) array
+
+val term_tag : t -> int -> string option
+(** The terminator tag of a node id, if the node is a branch condition,
+    switch scrutinee or returned expression root. *)
 
 val table_bytes : t -> int
 (** Approximate byte size of the flat tables (excluding the AST nodes

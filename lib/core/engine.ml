@@ -205,8 +205,8 @@ type shared_ctx = {
   sh_heights : string -> int option;  (* Callgraph.acyclic_heights *)
 }
 
-(* Alias of the flat table's event type, so [events_of_block] can return
-   the prebuilt global arrays directly. *)
+(* Alias of the flat table's event type, so the traversal walks the
+   prebuilt global arrays directly. *)
 type ev = Flat.ev =
   | Ev_node of Cast.expr
   | Ev_fresh of string
@@ -223,12 +223,8 @@ type undo =
       (* eid, pre-root own tags ([None] = eid was absent) *)
   | U_mark of (string, unit) Hashtbl.t * string
       (* insertion of a fresh key into a unit table
-         (traversed / demanded) *)
-  | U_imark of (int, unit) Hashtbl.t * int
-      (* insertion of a fresh interned key into an int-keyed unit table
-         (report dedup) *)
+         (report dedup / traversed / demanded) *)
   | U_counter of string * (int * int) option  (* rule, pre-root counts *)
-  | U_adone of int  (* flat block id whose [annots_done] bit was set *)
 
 type rctx = {
   sg : Supergraph.t;
@@ -253,16 +249,10 @@ type rctx = {
          node: exactly the delta the root-order merge, stored root entries
          and shared-unit publications consume *)
   annot_tags : int -> string list;
-      (* both layers' tags on a node, newest first ([Callout.ctx.annots]) *)
-  annots_done : Bytes.t;
-      (* per flat block id: terminator annotations ([mc_branch]/[mc_return])
-         already laid down in this context — [events_of_block] applies
-         them on a block's first visit *)
+      (* both layers' tags on a node, newest first, then its static
+         terminator tag ([Flat.term_tag]); [Callout.ctx.annots] *)
   fsums : (string, fsum) Hashtbl.t;
-  dedup : (int, unit) Hashtbl.t;
-      (* emitted-report identity keys, interned through [intern] — probes
-         and journal cells are int-sized; the merge-time dedup tables stay
-         string-keyed because atoms are context-local *)
+  dedup : (string, unit) Hashtbl.t;  (* [report_key]s of emitted reports *)
   traversed : (string, unit) Hashtbl.t;
   demanded : (string, unit) Hashtbl.t;
       (* keys of shared units this context replayed (transitively via
@@ -386,13 +376,18 @@ let charge_pub rctx (p : pub) =
 let make_rctx ?ids ?store0 ?(annot_base = Hashtbl.create 1) ?shared ~options ~ext
     ~dsp sg =
   let annots = Hashtbl.create 16 in
-  (* own tags first, then the base's: the order one table with prepended
-     tags would hold *)
+  (* own tags first, then the base's, then the static terminator tag: the
+     order one table with prepended tags would hold *)
   let annot_tags eid =
-    match (Hashtbl.find_opt annots eid, Hashtbl.find_opt annot_base eid) with
-    | None, None -> []
-    | Some t, None | None, Some t -> t
-    | Some own, Some base -> own @ base
+    let dynamic =
+      match (Hashtbl.find_opt annots eid, Hashtbl.find_opt annot_base eid) with
+      | None, None -> []
+      | Some t, None | None, Some t -> t
+      | Some own, Some base -> own @ base
+    in
+    match Flat.term_tag sg.Supergraph.flat eid with
+    | None -> dynamic
+    | Some tag -> dynamic @ [ tag ]
   in
   {
     sg;
@@ -408,7 +403,6 @@ let make_rctx ?ids ?store0 ?(annot_base = Hashtbl.create 1) ?shared ~options ~ex
     annot_base;
     annots;
     annot_tags;
-    annots_done = Bytes.make (max 1 sg.Supergraph.flat.Flat.n_blocks) '\000';
     fsums = Hashtbl.create 16;
     dedup = Hashtbl.create 16;
     traversed = Hashtbl.create 16;
@@ -491,14 +485,15 @@ let merge_fsum_into (dst : fsum) (src : fsum) =
   union dst.sfx src.sfx;
   Hashtbl.iter (fun k () -> Hashtbl.replace dst.rets k ()) src.rets
 
-(* The same key [emit_report] guards the per-rctx dedup table with. *)
+(* A report's identity at its location: the key of the per-rctx and the
+   merge-time dedup tables. *)
 let report_key (r : Report.t) =
   Printf.sprintf "%s@%s" (Report.identity_key r) (Srcloc.to_string r.Report.loc)
 
 let j_push rctx u = if rctx.journaling then rctx.journal <- u :: rctx.journal
 
-(* Journaled insertion into a unit table (traversed / demanded); whether
-   [key] was fresh. *)
+(* Journaled insertion into a unit table (report dedup / traversed /
+   demanded); whether [key] was fresh. *)
 let mark rctx tbl key =
   let fresh = not (Hashtbl.mem tbl key) in
   if fresh then begin
@@ -523,41 +518,29 @@ let make_fctx rctx ~depth ~stack (cfg : Cfg.t) =
   }
 
 (* ------------------------------------------------------------------ *)
-(* Events of a block (prebuilt once in the supergraph's flat tables)   *)
+(* Annotations                                                         *)
 (* ------------------------------------------------------------------ *)
 
 let tags_mem tbl eid tag =
   match Hashtbl.find_opt tbl eid with Some tags -> List.mem tag tags | None -> false
 
-(* Probed on every node visit (the kill-path check), so it allocates
-   nothing and skips the base when there is none (sequential runs). *)
+(* The dynamic layers only. Probed on every node visit (the kill-path
+   check), so it allocates nothing and skips the base when there is none
+   (sequential runs). *)
 let annotated rctx eid tag =
   tags_mem rctx.annots eid tag
   || (Hashtbl.length rctx.annot_base > 0 && tags_mem rctx.annot_base eid tag)
 
 let annotate rctx eid tag =
-  if not (annotated rctx eid tag) then begin
+  if
+    not
+      (annotated rctx eid tag
+      || Flat.term_tag rctx.sg.Supergraph.flat eid = Some tag)
+  then begin
     let prev = Hashtbl.find_opt rctx.annots eid in
     j_push rctx (U_annot (eid, prev));
     Hashtbl.replace rctx.annots eid (tag :: Option.value prev ~default:[])
   end
-
-(* The supergraph's prebuilt global event arrays (no per-context list
-   building at all). The terminator annotations are laid down on the
-   block's first visit in this context, tracked by the [annots_done]
-   bitset (idempotent anyway — [annotate] dedups — but the bitset keeps
-   repeat visits allocation- and probe-free). *)
-let events_of_block rctx fctx (block : Block.t) =
-  let flat = rctx.sg.Supergraph.flat in
-  let fb = fctx.fbase + block.bid in
-  if Bytes.get rctx.annots_done fb = '\000' then begin
-    j_push rctx (U_adone fb);
-    Bytes.set rctx.annots_done fb '\001';
-    Array.iter
-      (fun ((e : Cast.expr), tag) -> annotate rctx e.eid tag)
-      (Flat.annots flat fb)
-  end;
-  Flat.events flat fb
 
 (* ------------------------------------------------------------------ *)
 (* Reporting                                                           *)
@@ -616,11 +599,7 @@ let emit_report rctx fctx ~node ~inst ?(annotations = []) ?rule ?var msg =
       ~func:fctx.fname ~file:fctx.ffile ?var ?rule ~conditionals:conds ~syn_chain:syn
       ~call_depth:cdepth ~annotations ()
   in
-  let key = Printf.sprintf "%s@%s" (Report.identity_key r) (Srcloc.to_string loc) in
-  let atom = Intern.atom rctx.intern key in
-  if not (Hashtbl.mem rctx.dedup atom) then begin
-    j_push rctx (U_imark (rctx.dedup, atom));
-    Hashtbl.replace rctx.dedup atom ();
+  if mark rctx rctx.dedup (report_key r) then begin
     Log.info (fun m -> m "report: %a" Report.pp r);
     Report.emit rctx.collector r
   end
@@ -1867,7 +1846,7 @@ let rec traverse rctx fctx walk (backtrace : int list) (bid : int) : unit =
        kills and write handling still run *)
     let live = Dispatch.block_live_flat rctx.dsp (fctx.fbase + bid) in
     if not live then rctx.st.blocks_skipped <- rctx.st.blocks_skipped + 1;
-    let evs = events_of_block rctx fctx block in
+    let evs = Flat.events rctx.sg.Supergraph.flat (fctx.fbase + bid) in
     process_events rctx fctx ~live evs 0 walk (fun walk' ->
         (* call-expression instances are ephemeral value-flow carriers:
            they must not leak into summaries or outlive their statement *)
@@ -2127,13 +2106,7 @@ and replay_pub rctx (p : pub) : unit =
     p.p_fsums;
   let o = p.p_out in
   List.iter
-    (fun r ->
-      let atom = Intern.atom rctx.intern (report_key r) in
-      if not (Hashtbl.mem rctx.dedup atom) then begin
-        j_push rctx (U_imark (rctx.dedup, atom));
-        Hashtbl.replace rctx.dedup atom ();
-        Report.emit rctx.collector r
-      end)
+    (fun r -> if mark rctx rctx.dedup (report_key r) then Report.emit rctx.collector r)
     o.u_reports;
   List.iter (fun (eid, tags) -> List.iter (annotate rctx eid) tags) o.u_annots;
   List.iter (fun f -> ignore (mark rctx rctx.traversed f)) o.u_traversed
@@ -2291,10 +2264,8 @@ let apply_undo rctx = function
   | U_annot (eid, Some tags) -> Hashtbl.replace rctx.annots eid tags
   | U_annot (eid, None) -> Hashtbl.remove rctx.annots eid
   | U_mark (tbl, key) -> Hashtbl.remove tbl key
-  | U_imark (tbl, key) -> Hashtbl.remove tbl key
   | U_counter (rule, Some v) -> Hashtbl.replace rctx.counters rule v
   | U_counter (rule, None) -> Hashtbl.remove rctx.counters rule
-  | U_adone fb -> Bytes.set rctx.annots_done fb '\000'
 
 let rollback_root rctx ~n_reports =
   Report.truncate rctx.collector n_reports;
@@ -2748,7 +2719,7 @@ let run_roots ~jobs ~heights ~share base (stored : unit_out option array) =
    persistent cache key, so a stamp change orphans results computed by
    older builds instead of silently replaying them — the store's format
    version only guards the entry encoding, not what the engine computed. *)
-let analysis_version = "xgcc-analysis-5"
+let analysis_version = "xgcc-analysis-6"
 
 let options_digest (o : options) =
   (* budgets are part of the digest: a budget-limited run can legitimately
@@ -2910,22 +2881,8 @@ let run_extension_cached ~jobs ~store ~ext_key ~body_hash ~decls_hash
             Array.iter (Summary.to_bin b) sfx;
             Wire.list b Wire.string rets;
             Wire.list b Report.to_bin o.u_reports;
-            Wire.list b
-              (fun b (rule, e, c) ->
-                Wire.string b rule;
-                Wire.int b e;
-                Wire.int b c)
-              o.u_counters;
-            Wire.list b
-              (fun b ((loc : Srcloc.t), printed, actx, occ, tags) ->
-                Wire.string b loc.file;
-                Wire.int b loc.line;
-                Wire.int b loc.col;
-                Wire.string b printed;
-                Wire.string b actx;
-                Wire.int b occ;
-                Wire.list b Wire.string tags)
-              (annot_delta ~ix o.u_annots);
+            Wire.list b Summary_store.counter_to_bin o.u_counters;
+            Wire.list b Summary_store.annot_to_bin (annot_delta ~ix o.u_annots);
             Some
               (bs, sfx, rets, Fingerprint.of_string ~salt:"canon-1" (Wire.contents b)))
   in

@@ -180,6 +180,11 @@ type root_entry = {
   r_stats : int list;  (** engine stat counters, in [Engine]'s field order *)
 }
 
+val counter_to_bin : Wire.writer -> string * int * int -> unit
+val annot_to_bin : Wire.writer -> Srcloc.t * string * string * int * string list -> unit
+(** The Wire encodings of one [r_counters] / [r_annots] element, shared
+    with the engine's canonical digest. *)
+
 val load_root :
   t -> ext:Fingerprint.t -> root:string -> key:Fingerprint.t -> root_entry option
 (** Bumps [roots_replayed] on a hit, [roots_recomputed] otherwise. *)

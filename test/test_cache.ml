@@ -288,6 +288,67 @@ let suite =
             Alcotest.(check bool) "post-edit run replays the rest" true
               (est.Summary_store.roots_replayed > 0))
           [ [ "free" ]; [ "pathkill"; "free" ]; [ "errpath"; "secpath"; "null"; "leak" ] ]);
+    (* leak reads the mc_branch/mc_return terminator tags; they are static
+       supergraph data, so every mode sees them and no store entry
+       carries them *)
+    t "terminator tags: same reports in every mode, none stored" `Quick (fun () ->
+        let g = Gen.generate ~seed:7 ~n_funcs:60 ~bug_rate:0.3 in
+        (* mc_return stops tag_ret's allocation, mc_branch tag_branch's
+           null path: only tag_leak leaks *)
+        let tail =
+          {|
+int *tag_ret(int n) { int *p = kmalloc(n); return p; }
+int tag_branch(int n) { int *p = kmalloc(n); if (!p) return 0; kfree(p); return 1; }
+int tag_leak(int n) { int *p = kmalloc(n); *p = n; return 0; }
+|}
+        in
+        let sg = sg_of_files [ ("tags.c", g.Gen.source ^ tail) ] in
+        let names = [ "free"; "leak" ] in
+        let j1 = Engine.run sg (checkers names) in
+        let dir = temp_dir () in
+        let cold = Engine.run ~cache:(store_for names dir) sg (checkers names) in
+        let warm_store = store_for names dir in
+        let warm = Engine.run ~cache:warm_store sg (checkers names) in
+        Alcotest.(check (list string)) "leak reports" [ "tag_leak" ]
+          (List.filter_map
+             (fun (r : Report.t) ->
+               if r.Report.checker = "leak_checker" then Some r.Report.func else None)
+             j1.Engine.reports);
+        List.iter
+          (fun (label, r) ->
+            Alcotest.(check (list string)) label (report_lines j1) (report_lines r))
+          [
+            ("-j2 = -j1", Engine.run ~jobs:2 sg (checkers names));
+            ("cold = -j1", cold);
+            ("warm = -j1", warm);
+          ];
+        Alcotest.(check int) "warm run recomputes nothing" 0
+          (Summary_store.stats warm_store).Summary_store.roots_recomputed;
+        let pack_dir = Filename.concat dir "pack" in
+        let packs =
+          List.filter
+            (fun f -> Filename.check_suffix f ".bin")
+            (Array.to_list (Sys.readdir pack_dir))
+        in
+        Alcotest.(check int) "one pack per extension" 2 (List.length packs);
+        let mentions text word =
+          let n = String.length word in
+          let rec go i =
+            i + n <= String.length text && (String.sub text i n = word || go (i + 1))
+          in
+          go 0
+        in
+        List.iter
+          (fun f ->
+            match Summary_store.dump_pack (Filename.concat pack_dir f) with
+            | Error e -> Alcotest.fail e
+            | Ok entries ->
+                let text = String.concat "\n" (List.map Sexp.to_string entries) in
+                List.iter
+                  (fun tag ->
+                    Alcotest.(check bool) (f ^ " holds no " ^ tag) false (mentions text tag))
+                  [ "mc_branch"; "mc_return" ])
+          packs);
     t "summary-neutral leaf edit cuts off at the leaf" `Quick (fun () ->
         let dir = temp_dir () in
         (* cold run populates the store for v1 *)

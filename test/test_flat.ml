@@ -102,8 +102,8 @@ let table_tests =
   ]
 
 (* The boxed reference builder: a block's node events and terminator
-   annotations rebuilt as lists straight from [Block.t], as the engine
-   did per context before the flat tables existed. *)
+   tags rebuilt as lists straight from [Block.t], as the engine did per
+   context before the flat tables existed. *)
 let boxed_events (block : Block.t) =
   let nodes e = List.map (fun n -> Flat.Ev_node n) (Cast.exec_order e) in
   let of_elem = function
@@ -147,6 +147,7 @@ let identity_tests =
         List.iter
           (fun sg ->
             let flat = sg.Supergraph.flat in
+            let n_tags = ref 0 in
             Hashtbl.iter
               (fun fname (cfg : Cfg.t) ->
                 let base = Flat.fbase flat fname in
@@ -159,14 +160,18 @@ let identity_tests =
                       ("events " ^ where) true
                       (List.equal same_event evs
                          (Array.to_list (Flat.events flat fb)));
+                    n_tags := !n_tags + List.length annots;
                     Alcotest.(check bool)
                       ("annotations " ^ where) true
-                      (List.equal
-                         (fun (e1, t1) (e2, t2) -> e1 == e2 && String.equal t1 t2)
-                         annots
-                         (Array.to_list (Flat.annots flat fb))))
+                      (List.for_all
+                         (fun ((e : Cast.expr), tag) ->
+                           Flat.term_tag flat e.Cast.eid = Some tag)
+                         annots))
                   cfg.Cfg.blocks)
-              sg.Supergraph.cfgs)
+              sg.Supergraph.cfgs;
+            Alcotest.(check int)
+              "no other tagged nodes" !n_tags
+              (Hashtbl.length flat.Flat.term_tags))
           [ sg_of shapes_src; gen_sg ~seed:11 ];
         let sg = gen_sg ~seed:11 in
         let j1 = Engine.run sg (free ()) in

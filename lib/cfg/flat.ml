@@ -22,7 +22,12 @@
      condition / switch scrutinee root and the [mc_return] tag of every
      returned expression, keyed by node id. They depend only on the CFG,
      so the engine reads them here, beside each context's own
-     annotations, instead of laying them down per context.
+     annotations, instead of laying them down per context;
+   - the synthesised declaration-initialiser assignments
+     ([decl_assigns]) per function. They are built here once and shared
+     by every context, so extensions can tag them like any AST node; the
+     cache's annotation index visits them after the function's own AST to
+     give those tags positions.
 
    Everything here is immutable after [build] and shared read-only
    across engine worker domains, like the rest of the supergraph. *)
@@ -53,11 +58,14 @@ type t = {
   call_names : string array;  (* sorted distinct callee names, CSR *)
   events : ev array array;  (* flat id -> node events, execution order *)
   term_tags : (int, string) Hashtbl.t;  (* node id -> terminator tag *)
+  decl_assigns : Cast.expr list array;  (* fidx -> synthesised [x = init], block order *)
 }
 
-(* Mirrors [Block_heads.of_block]'s walk: one pass computes both the
-   event array and the terminator tag so they cannot drift apart. *)
+(* Mirrors [Block_heads.of_block]'s walk: one pass computes the event
+   array, the terminator tag and the synthesised initialiser assignments
+   so they cannot drift apart. *)
 let events_of_block (b : Block.t) =
+  let synths = ref [] in
   let of_elem = function
     | Block.Tree e -> List.map (fun n -> Ev_node n) (Cast.exec_order e)
     | Block.Decl d -> (
@@ -67,6 +75,7 @@ let events_of_block (b : Block.t) =
               Cast.mk_expr ~loc:init.eloc
                 (Cast.Eassign (None, Cast.ident ~loc:init.eloc d.Cast.dname, init))
             in
+            synths := synth :: !synths;
             Ev_fresh d.Cast.dname
             :: List.map (fun n -> Ev_node n) (Cast.exec_order synth)
         | None -> [ Ev_fresh d.Cast.dname ])
@@ -82,7 +91,8 @@ let events_of_block (b : Block.t) =
         (List.map (fun n -> Ev_node n) (Cast.exec_order e), Some (e, "mc_return"))
     | Block.Jump _ | Block.Return None | Block.Exit -> ([], None)
   in
-  (Array.of_list (List.concat_map of_elem b.Block.elems @ term_evs), tag)
+  let evs = Array.of_list (List.concat_map of_elem b.Block.elems @ term_evs) in
+  (evs, tag, List.rev !synths)
 
 let build (cfgs : Cfg.t list) : t =
   let cfgs = Array.of_list cfgs in
@@ -101,6 +111,7 @@ let build (cfgs : Cfg.t list) : t =
   let call_off = Array.make (n_blocks + 1) 0 in
   let events = Array.make n_blocks [||] in
   let term_tags = Hashtbl.create (max 16 (n_blocks / 2)) in
+  let decl_assigns = Array.make nf [] in
   (* first pass: per-block successor/call counts, heads, events *)
   let succs : int list array = Array.make n_blocks [] in
   let calls : string list array = Array.make n_blocks [] in
@@ -117,12 +128,14 @@ let build (cfgs : Cfg.t list) : t =
           let h = Block_heads.of_block b in
           head_mask.(fb) <- h.Block_heads.mask;
           calls.(fb) <- h.Block_heads.calls;
-          let evs, tag = events_of_block b in
+          let evs, tag, synths = events_of_block b in
           events.(fb) <- evs;
+          decl_assigns.(fi) <- List.rev_append synths decl_assigns.(fi);
           Option.iter
             (fun ((e : Cast.expr), tag) -> Hashtbl.replace term_tags e.eid tag)
             tag)
-        cfg.Cfg.blocks)
+        cfg.Cfg.blocks;
+      decl_assigns.(fi) <- List.rev decl_assigns.(fi))
     cfgs;
   for fb = 0 to n_blocks - 1 do
     succ_off.(fb + 1) <- succ_off.(fb) + List.length succs.(fb);
@@ -151,6 +164,7 @@ let build (cfgs : Cfg.t list) : t =
     call_names;
     events;
     term_tags;
+    decl_assigns;
   }
 
 let n_functions t = Array.length t.fnames
@@ -199,6 +213,7 @@ let table_bytes t =
     + arr_words (Array.length t.call_off)
     + arr_words (Array.length t.call_names)
     + arr_words (Array.length t.events)
+    + arr_words (Array.length t.decl_assigns)
     + Array.fold_left (fun acc evs -> acc + arr_words (Array.length evs)) 0 t.events
     + (let h = Hashtbl.stats t.term_tags in
        arr_words h.Hashtbl.num_buckets + (4 * h.Hashtbl.num_bindings))

@@ -43,6 +43,11 @@ type t = {
   term_tags : (int, string) Hashtbl.t;
       (** node id -> [mc_branch] for every branch condition and switch
           scrutinee root, [mc_return] for every returned expression *)
+  decl_assigns : Cast.expr list array;
+      (** fidx -> the synthesised [x = init] assignment of every
+          declaration with an initialiser, in block order. These nodes
+          exist nowhere in the AST; they are built once here and shared by
+          every traversal context. *)
 }
 
 val build : Cfg.t list -> t

@@ -2353,136 +2353,6 @@ let stats_of_list = function
       }
   | _ -> new_stats ()
 
-let rec iter_exprs_expr f (e : Cast.expr) =
-  f e;
-  let children =
-    match e.enode with
-    | Cast.Eunary (_, e1)
-    | Cast.Ecast (_, e1)
-    | Cast.Esizeof_expr e1
-    | Cast.Efield (e1, _)
-    | Cast.Earrow (e1, _) ->
-        [ e1 ]
-    | Cast.Ebinary (_, l, r)
-    | Cast.Eassign (_, l, r)
-    | Cast.Eindex (l, r)
-    | Cast.Ecomma (l, r) ->
-        [ l; r ]
-    | Cast.Econd (c, t, fe) -> [ c; t; fe ]
-    | Cast.Ecall (fn, args) -> fn :: args
-    | Cast.Einit_list es -> es
-    | Cast.Eint _ | Cast.Efloat _ | Cast.Echar _ | Cast.Estr _ | Cast.Eident _
-    | Cast.Esizeof_type _ ->
-        []
-  in
-  List.iter (iter_exprs_expr f) children
-
-let rec iter_exprs_stmt f (s : Cast.stmt) =
-  match s.snode with
-  | Cast.Sexpr e -> iter_exprs_expr f e
-  | Cast.Sdecl ds ->
-      List.iter
-        (fun (d : Cast.decl) -> Option.iter (iter_exprs_expr f) d.dinit)
-        ds
-  | Cast.Sif (c, t, e) ->
-      iter_exprs_expr f c;
-      iter_exprs_stmt f t;
-      Option.iter (iter_exprs_stmt f) e
-  | Cast.Swhile (c, b) ->
-      iter_exprs_expr f c;
-      iter_exprs_stmt f b
-  | Cast.Sdo (b, c) ->
-      iter_exprs_stmt f b;
-      iter_exprs_expr f c
-  | Cast.Sfor (init, c, step, b) ->
-      Option.iter (iter_exprs_stmt f) init;
-      Option.iter (iter_exprs_expr f) c;
-      Option.iter (iter_exprs_expr f) step;
-      iter_exprs_stmt f b
-  | Cast.Sreturn e -> Option.iter (iter_exprs_expr f) e
-  | Cast.Sblock ss -> List.iter (iter_exprs_stmt f) ss
-  | Cast.Sswitch (e, cases) ->
-      iter_exprs_expr f e;
-      List.iter
-        (fun (c : Cast.case) -> List.iter (iter_exprs_stmt f) c.case_body)
-        cases
-  | Cast.Slabel (_, s1) -> iter_exprs_stmt f s1
-  | Cast.Sbreak | Cast.Scontinue | Cast.Sgoto _ | Cast.Snull -> ()
-
-(* Node ids are not stable across runs (decoding allocates fresh ids), so
-   persisted annotation deltas are positional and re-resolved against the
-   current program here. (location, printed expression) alone is
-   ambiguous — the same header parsed into two translation units, or
-   macro expansion duplicating an expression at one location, gives
-   distinct nodes the same key — so the key also carries the enclosing
-   global definition's name and the node's occurrence rank under that
-   (location, printed, definition) triple, assigned in the deterministic
-   index-traversal order below. Replay then targets exactly the node the
-   worker annotated, never a positional twin. *)
-let annot_pos_base (loc : Srcloc.t) ~printed ~ctx =
-  String.concat ""
-    [ loc.file; ":"; string_of_int loc.line; ":"; string_of_int loc.col; "|"; printed; "|"; ctx ]
-
-let annot_pos_key loc ~printed ~ctx ~occ =
-  annot_pos_base loc ~printed ~ctx ^ "#" ^ string_of_int occ
-
-(* An indexed node's position, with its printed form and positional key
-   kept so the delta and grouping code never print the expression again. *)
-type annot_node = {
-  an_loc : Srcloc.t;
-  an_printed : string;
-  an_ctx : string;  (* enclosing global definition *)
-  an_occ : int;  (* occurrence rank under (location, printed, ctx) *)
-  an_key : string;  (* [annot_pos_key] of the above *)
-}
-
-type annot_index = {
-  ai_nodes : (int, annot_node) Hashtbl.t;  (* eid -> position *)
-  ai_ids : (string, int) Hashtbl.t;  (* full positional key -> eid *)
-}
-
-let build_annot_index (sg : Supergraph.t) =
-  let ix = { ai_nodes = Hashtbl.create 1024; ai_ids = Hashtbl.create 1024 } in
-  let occs : (string, int) Hashtbl.t = Hashtbl.create 1024 in
-  let visit ctx (e : Cast.expr) =
-    if not (Hashtbl.mem ix.ai_nodes e.Cast.eid) then begin
-      let printed = Cprint.expr_to_string e in
-      let base = annot_pos_base e.eloc ~printed ~ctx in
-      let occ = Option.value (Hashtbl.find_opt occs base) ~default:0 in
-      Hashtbl.replace occs base (occ + 1);
-      let an_key = base ^ "#" ^ string_of_int occ in
-      Hashtbl.replace ix.ai_nodes e.Cast.eid
-        { an_loc = e.eloc; an_printed = printed; an_ctx = ctx; an_occ = occ; an_key };
-      Hashtbl.replace ix.ai_ids an_key e.Cast.eid
-    end
-  in
-  List.iter
-    (fun (tu : Cast.tunit) ->
-      List.iter
-        (function
-          | Cast.Gfun fd -> iter_exprs_stmt (visit fd.fname) fd.fbody
-          | Cast.Gvar { gdecl = { dname; dinit = Some e; _ }; _ } ->
-              iter_exprs_expr (visit dname) e
-          | _ -> ())
-        tu.tu_globals)
-    sg.Supergraph.tunits;
-  ix
-
-(* A unit's annotation layer ([u_annots]) as a positional delta, sorted
-   by position. Tags on nodes absent from the program index (per-rctx
-   synthesised nodes, e.g. declaration initialisers) are dropped: their
-   ids mean nothing outside the context that made them. *)
-let annot_delta ~ix annots =
-  List.sort
-    (fun ((a : Srcloc.t), pa, ca, oa, _) ((b : Srcloc.t), pb, cb, ob, _) ->
-      compare (a.file, a.line, a.col, pa, ca, oa) (b.file, b.line, b.col, pb, cb, ob))
-    (List.filter_map
-       (fun (eid, tags) ->
-         Option.map
-           (fun n -> (n.an_loc, n.an_printed, n.an_ctx, n.an_occ, tags))
-           (Hashtbl.find_opt ix.ai_nodes eid))
-       annots)
-
 (* Add [tags] (oldest first) to node [eid], skipping tags it already
    holds; the table keeps each node's tags newest first. *)
 let add_tags tbl eid tags =
@@ -2498,15 +2368,7 @@ let out_of_entry ~ix (e : Summary_store.root_entry) =
   {
     u_reports = e.r_reports;
     u_counters = e.r_counters;
-    u_annots =
-      List.sort
-        (fun (a, _) (b, _) -> Int.compare a b)
-        (List.filter_map
-           (fun ((loc : Srcloc.t), printed, ctx, occ, tags) ->
-             Option.map
-               (fun eid -> (eid, tags))
-               (Hashtbl.find_opt ix.ai_ids (annot_pos_key loc ~printed ~ctx ~occ)))
-           e.r_annots);
+    u_annots = Annot_index.resolve ix e.r_annots;
     u_traversed = e.r_traversed;
     u_demanded = [];
     u_stats = stats_of_list e.r_stats;
@@ -2521,7 +2383,7 @@ let entry_of_out ~ix ~key root (o : unit_out) =
     r_key = key;
     r_reports = o.u_reports;
     r_counters = o.u_counters;
-    r_annots = annot_delta ~ix o.u_annots;
+    r_annots = Annot_index.delta ix o.u_annots;
     r_traversed = o.u_traversed;
     r_stats = stats_to_list o.u_stats;
   }
@@ -2719,7 +2581,7 @@ let run_roots ~jobs ~heights ~share base (stored : unit_out option array) =
    persistent cache key, so a stamp change orphans results computed by
    older builds instead of silently replaying them — the store's format
    version only guards the entry encoding, not what the engine computed. *)
-let analysis_version = "xgcc-analysis-6"
+let analysis_version = "xgcc-analysis-7"
 
 let options_digest (o : options) =
   (* budgets are part of the digest: a budget-limited run can legitimately
@@ -2740,17 +2602,17 @@ let run_extension_cached ~jobs ~store ~ext_key ~body_hash ~decls_hash
      into every key would re-invalidate everything downstream of any
      annotation. Grouping by the annotated node's enclosing definition
      lets a key fold exactly the groups its closure can observe. Tags on
-     nodes outside the program index are dropped, matching [annot_delta];
+     nodes outside the program are dropped, matching [Annot_index.delta];
      tags in non-function contexts (global initialisers) land in one
      shared misc group, folded into every key (conservative, tiny). *)
   let annot_groups : (string, string list ref) Hashtbl.t = Hashtbl.create 16 in
   let annot_misc = ref [] in
   Hashtbl.iter
     (fun eid tags ->
-      match Hashtbl.find_opt ix.ai_nodes eid with
+      match Annot_index.node ix eid with
       | None -> ()
-      | Some { an_ctx = ctx; an_key; _ } ->
-          let entry = an_key ^ "=" ^ String.concat "," (List.rev tags) in
+      | Some { Annot_index.ctx; key; _ } ->
+          let entry = key ^ "=" ^ String.concat "," (List.rev tags) in
           if Callgraph.is_defined cg ctx then begin
             match Hashtbl.find_opt annot_groups ctx with
             | Some r -> r := entry :: !r
@@ -2770,25 +2632,28 @@ let run_extension_cached ~jobs ~store ~ext_key ~body_hash ~decls_hash
     (fun ctx entries -> Hashtbl.replace annot_hashes ctx (group_hash !entries))
     annot_groups;
   (* the annotation key of [f]'s closure, shared by its function and
-     root keys *)
-  let annot_keys : (string, Fingerprint.t) Hashtbl.t = Hashtbl.create 64 in
-  let annot_key f =
-    match Hashtbl.find_opt annot_keys f with
-    | Some k -> k
-    | None ->
-        let k =
-          Fingerprint.combine
-            [
-              annot_misc_h;
-              Fingerprint.combine_pairs
+     root keys; with no group to fold it is the same for every function *)
+  let annot_key_of groups =
+    Fingerprint.combine [ annot_misc_h; Fingerprint.combine_pairs groups ]
+  in
+  let annot_key =
+    if Hashtbl.length annot_hashes = 0 then
+      let k = annot_key_of [] in
+      fun _ -> k
+    else
+      let annot_keys : (string, Fingerprint.t) Hashtbl.t = Hashtbl.create 64 in
+      fun f ->
+        match Hashtbl.find_opt annot_keys f with
+        | Some k -> k
+        | None ->
+            let k =
+              annot_key_of
                 (List.filter_map
-                   (fun g ->
-                     Option.map (fun h -> (g, h)) (Hashtbl.find_opt annot_hashes g))
-                   (closures f));
-            ]
-        in
-        Hashtbl.replace annot_keys f k;
-        k
+                   (fun g -> Option.map (fun h -> (g, h)) (Hashtbl.find_opt annot_hashes g))
+                   (closures f))
+            in
+            Hashtbl.replace annot_keys f k;
+            k
   in
   (* Early cutoff needs the canonical traversal to terminate and to be
      timing-independent, so it requires the summary caches on and per-root
@@ -2882,7 +2747,7 @@ let run_extension_cached ~jobs ~store ~ext_key ~body_hash ~decls_hash
             Wire.list b Wire.string rets;
             Wire.list b Report.to_bin o.u_reports;
             Wire.list b Summary_store.counter_to_bin o.u_counters;
-            Wire.list b Summary_store.annot_to_bin (annot_delta ~ix o.u_annots);
+            Wire.list b Summary_store.annot_to_bin (Annot_index.delta ix o.u_annots);
             Some
               (bs, sfx, rets, Fingerprint.of_string ~salt:"canon-1" (Wire.contents b)))
   in
@@ -3010,12 +2875,14 @@ let run_cached ?options ~jobs store sg exts =
       sg.Supergraph.tunits;
     Fingerprint.of_string ~salt:ast_salt (Wire.contents b)
   in
-  let ix = build_annot_index sg in
+  let ix = Annot_index.create sg in
   List.iteri
     (fun i ext ->
       run_extension_cached ~jobs ~store ~ext_key:(Summary_store.ext_key store i)
         ~body_hash ~decls_hash ~closures ~heights ~ix rctx ext)
     exts;
+  let sst = Summary_store.stats store in
+  sst.Summary_store.annot_defs <- sst.Summary_store.annot_defs + Annot_index.defs_printed ix;
   Summary_store.flush store;
   Summary_store.save_last_run store;
   collect_result rctx

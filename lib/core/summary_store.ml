@@ -9,6 +9,7 @@ type stats = {
   mutable fns_recomputed : int;
   mutable sums_unchanged : int;
   mutable roots_salvaged : int;
+  mutable annot_defs : int;
 }
 
 type fn_entry = {
@@ -144,6 +145,7 @@ let create ~dir ?(persist = true) ?(memory = false) ~ext_keys () =
         fns_recomputed = 0;
         sums_unchanged = 0;
         roots_salvaged = 0;
+        annot_defs = 0;
       };
   }
 
@@ -185,14 +187,15 @@ let reset_stats t =
   s.roots_recomputed <- 0;
   s.fns_recomputed <- 0;
   s.sums_unchanged <- 0;
-  s.roots_salvaged <- 0
+  s.roots_salvaged <- 0;
+  s.annot_defs <- 0
 
 let pp_stats ppf t =
   Format.fprintf ppf
-    "cache: ast %d hit / %d miss; summaries %d hit / %d stale / %d absent; roots %d replayed / %d recomputed; cutoff %d fns recomputed / %d summaries unchanged / %d roots salvaged"
+    "cache: ast %d hit / %d miss; summaries %d hit / %d stale / %d absent; roots %d replayed / %d recomputed; cutoff %d fns recomputed / %d summaries unchanged / %d roots salvaged; annotation index %d defs printed"
     t.st.ast_hits t.st.ast_misses t.st.fn_hits t.st.fn_stale t.st.fn_absent
     t.st.roots_replayed t.st.roots_recomputed t.st.fns_recomputed
-    t.st.sums_unchanged t.st.roots_salvaged
+    t.st.sums_unchanged t.st.roots_salvaged t.st.annot_defs
 
 (* ------------------------------------------------------------------ *)
 (* Pack files                                                          *)
@@ -569,6 +572,7 @@ let last_run_fields st =
     ("fns_recomputed", st.fns_recomputed);
     ("sums_unchanged", st.sums_unchanged);
     ("roots_salvaged", st.roots_salvaged);
+    ("annot_defs", st.annot_defs);
   ]
 
 let last_run_path dir = Filename.concat dir "last-run"

@@ -68,6 +68,10 @@ type stats = {
   mutable roots_salvaged : int;
       (** replayed roots whose closure intersects the recomputed set —
           roots that only replay because cutoff fired *)
+  mutable annot_defs : int;
+      (** definitions the annotation index printed to give tagged nodes
+          and stored annotation keys their positions ({!Annot_index}); 0
+          when no extension tags anything *)
 }
 
 val store_version : string

@@ -90,6 +90,82 @@ let leaf_v2 =
    int caller(int n) { int *x = kmalloc(n); leaf(x); return *x; }\n\
    int unrelated(int n) { int *y = kmalloc(n); kfree(y); return *y; }\n"
 
+(* A reader of the SECURITY tags secpath leaves: one report per tagged
+   statement, so every tag the cache drops or misplaces shows. *)
+let sec_reader_src =
+  {|sm sec_reader { start: ${ mc_annotated(mc_stmt, "SECURITY") } ==> start,
+     { err("statement on a user path"); } ; }|}
+
+let sec_reader () =
+  Callout.install_builtins ();
+  Metal_compile.load ~file:"rd.metal" sec_reader_src
+
+(* [int z = ...] and [int *u = get_user_pointer(k)] lower to synthesised
+   [x = init] assignments: the second lies on the user path, so secpath
+   tags it and the reader reports it *)
+let synth_src z =
+  "struct s { int f; };\n\
+   int *get_user_pointer(int k);\n\
+   int g(int k) {\n\
+  \  struct s *p = kmalloc(4); int z = " ^ z ^ ";\n\
+  \  int *u = get_user_pointer(k);\n\
+  \  int y = p->f;\n\
+  \  return y + *u + z;\n\
+   }\n"
+
+(* The oracle for [Annot_index]: an eager walk over every definition in
+   program order (statements in order, expressions pre-order, a node
+   keeping its first definition), then every function's synthesised
+   initialiser assignments, ranking each (location, printed, definition)
+   triple as it goes. Returns eid -> (loc, printed, ctx, occ, key). *)
+let eager_annot_keys (sg : Supergraph.t) =
+  let keys = Hashtbl.create 256 and occs = Hashtbl.create 256 in
+  let visit ctx (e : Cast.expr) =
+    if not (Hashtbl.mem keys e.eid) then begin
+      let printed = Cprint.expr_to_string e in
+      let base =
+        Printf.sprintf "%s:%d:%d|%s|%s" e.eloc.Srcloc.file e.eloc.line e.eloc.col printed ctx
+      in
+      let occ = Option.value (Hashtbl.find_opt occs base) ~default:0 in
+      Hashtbl.replace occs base (occ + 1);
+      Hashtbl.replace keys e.eid (e.eloc, printed, ctx, occ, base ^ "#" ^ string_of_int occ)
+    end
+  in
+  let rec expr ctx e =
+    visit ctx e;
+    List.iter (expr ctx) (Cast.children e)
+  in
+  let rec stmt ctx (s : Cast.stmt) =
+    let ex = expr ctx and st = stmt ctx in
+    match s.snode with
+    | Cast.Sexpr e -> ex e
+    | Cast.Sdecl ds -> List.iter (fun (d : Cast.decl) -> Option.iter ex d.dinit) ds
+    | Cast.Sif (c, a, b) -> ex c; st a; Option.iter st b
+    | Cast.Swhile (c, b) -> ex c; st b
+    | Cast.Sdo (b, c) -> st b; ex c
+    | Cast.Sfor (i, c, step, b) -> Option.iter st i; Option.iter ex c; Option.iter ex step; st b
+    | Cast.Sreturn e -> Option.iter ex e
+    | Cast.Sblock ss -> List.iter st ss
+    | Cast.Sswitch (e, cases) ->
+        ex e;
+        List.iter (fun (c : Cast.case) -> List.iter st c.case_body) cases
+    | Cast.Slabel (_, s1) -> st s1
+    | Cast.Sbreak | Cast.Scontinue | Cast.Sgoto _ | Cast.Snull -> ()
+  in
+  List.iter
+    (fun (tu : Cast.tunit) ->
+      List.iter
+        (function
+          | Cast.Gfun fd -> stmt fd.fname fd.fbody
+          | Cast.Gvar { gdecl = { dname; dinit = Some e; _ }; _ } -> expr dname e
+          | _ -> ())
+        tu.tu_globals)
+    sg.tunits;
+  Array.iteri
+    (fun fi name -> List.iter (expr name) sg.flat.Flat.decl_assigns.(fi))
+    sg.flat.Flat.fnames;
+  keys
+
 let suite =
   [
     t "fingerprints are stable and content-sensitive" `Quick (fun () ->
@@ -690,7 +766,73 @@ int tag_leak(int n) { int *p = kmalloc(n); *p = n; return 0; }
         Alcotest.(check int)
           "warm run replays every root" 0
           (Summary_store.stats warm_store).Summary_store.roots_recomputed);
-      t "a flipped payload byte misses only its own entry" `Quick (fun () ->
+      t "tags on synthesised initialisers survive an edit" `Quick (fun () ->
+        (* the synthesised [u = get_user_pointer(k)] carries a SECURITY
+           tag: its stored delta must keep it, so a warm run after an
+           edit that leaves secpath's output unchanged (the early cutoff
+           replays its root) still hands the tag to the reader *)
+        let exts () = checkers [ "secpath" ] @ sec_reader () in
+        let names = [ "secpath"; sec_reader_src ] in
+        let run ?cache ?(jobs = 1) src =
+          report_lines (Engine.run ~jobs ?cache (sg_of_files [ ("t.c", src) ]) (exts ()))
+        in
+        let v1 = synth_src "0" and v2 = synth_src "1" in
+        let uncached = run v1 in
+        Alcotest.(check bool)
+          "the synthesised assignment is reported" true
+          (List.exists (String.starts_with ~prefix:"t.c:5:28:") uncached);
+        Alcotest.(check (list string)) "-j2 = uncached" uncached (run ~jobs:2 v1);
+        let dir = temp_dir () in
+        Alcotest.(check (list string))
+          "cold = uncached" uncached (run ~cache:(store_for names dir) v1);
+        Alcotest.(check (list string))
+          "warm = uncached" uncached (run ~cache:(store_for names dir) v1);
+        Alcotest.(check (list string))
+          "warm after the edit = uncached after the edit" (run v2)
+          (run ~cache:(store_for names dir) v2));
+    t "on-demand annotation keys equal an eager walk's" `Quick (fun () ->
+        (* positional twins (one header in two units), plus two static
+           definitions of [h] with identical positions: their nodes share
+           (location, printed, definition) and differ only by rank, and
+           only the first [h] has a CFG, so its synthesised [x = n + 1]
+           ranks after both bodies *)
+        let stat = "static int h(int n) { int x = n + 1; if (x) { x = n + 1; } return x; }\n" in
+        let sg =
+          sg_of_files
+            [
+              ("twin.h", "int a(int *p) { if (p) { kfree(p); } return 0; }\n");
+              ("twin.h", "int b(int *p) { if (p) { kfree(p); } return 0; }\n");
+              ("stat.h", stat ^ "int g1 = 3 + 4;\n");
+              ("stat.h", stat);
+            ]
+        in
+        let oracle = eager_annot_keys sg in
+        let eids = List.sort Int.compare (Hashtbl.fold (fun eid _ acc -> eid :: acc) oracle []) in
+        Alcotest.(check bool) "synthesised nodes are indexed" true
+          (List.exists
+             (fun (e : Cast.expr) -> Hashtbl.mem oracle e.eid)
+             sg.flat.Flat.decl_assigns.(Option.get (Flat.fidx sg.flat "h")));
+        (* nodes resolve in reverse program order through one index, keys
+           through a second, fresh one *)
+        let ix = Annot_index.create sg and ix2 = Annot_index.create sg in
+        List.iter
+          (fun eid ->
+            let loc, printed, ctx, occ, key = Hashtbl.find oracle eid in
+            (match Annot_index.node ix eid with
+            | Some n -> Alcotest.(check string) "key" key n.Annot_index.key
+            | None -> Alcotest.failf "node %d (%s) not indexed" eid key);
+            Alcotest.(check (list int))
+              ("resolve " ^ key) [ eid ]
+              (List.map fst (Annot_index.resolve ix2 [ (loc, printed, ctx, occ, []) ])))
+          (List.rev eids);
+        (* a, b, g1 and both definitions of h *)
+        Alcotest.(check int) "every definition printed once" 5 (Annot_index.defs_printed ix);
+        let ix3 = Annot_index.create sg in
+        Alcotest.(check int) "an unqueried index prints nothing" 0 (Annot_index.defs_printed ix3);
+        ignore (Annot_index.node ix3 (List.hd eids));
+        Alcotest.(check int) "one node prints only its definition" 1
+          (Annot_index.defs_printed ix3));
+    t "a flipped payload byte misses only its own entry" `Quick (fun () ->
         let dir = temp_dir () in
         let store = store_over dir in
         let ext = Summary_store.ext_key store 0 in

@@ -91,6 +91,78 @@ let disagreement = function
   | [] -> None
   | (_, first) :: rest -> Option.map fst (List.find_opt (fun (_, out) -> out <> first) rest)
 
+(* --- annotation replay across an edit ---------------------------------- *)
+
+(* Extensions that tag the AST (pathkill, errpath and secpath) and ones
+   that fold those tags into their reports, plus a reader that reports
+   every SECURITY-tagged statement: a warm run only matches uncached if
+   every tag the cache replays lands on the node it was left on. *)
+let annot_checkers = [ "secpath"; "errpath"; "pathkill"; "free"; "null"; "leak" ]
+
+let sec_reader_src =
+  {|sm sec_reader { start: ${ mc_annotated(mc_stmt, "SECURITY") } ==> start,
+     { err("statement on a user path"); } ; }|}
+
+(* The offsets of the last character of every integer literal in [src]
+   that ends in a decimal digit (a run of identifier characters that
+   starts with a digit). *)
+let literal_ends src =
+  let n = String.length src in
+  let is_id = function 'a' .. 'z' | 'A' .. 'Z' | '_' | '0' .. '9' -> true | _ -> false in
+  let is_digit = function '0' .. '9' -> true | _ -> false in
+  let rec go i acc =
+    if i >= n then List.rev acc
+    else if not (is_id src.[i]) then go (i + 1) acc
+    else
+      let j = ref i in
+      while !j < n && is_id src.[!j] do incr j done;
+      go !j (if is_digit src.[i] && is_digit src.[!j - 1] then (!j - 1) :: acc else acc)
+  in
+  go 0 []
+
+(* Generated files with the [k]th literal (mod their count) bumped by one
+   in its last digit: an in-place constant edit, no location moves. *)
+let constant_edit srcs k =
+  let sites =
+    List.concat
+      (List.mapi (fun fi (_, src) -> List.map (fun p -> (fi, p)) (literal_ends src)) srcs)
+  in
+  let fi, p = List.nth sites (k mod List.length sites) in
+  let bump c = Char.chr (Char.code '0' + ((Char.code c - Char.code '0' + 1) mod 10)) in
+  List.mapi
+    (fun i (name, src) ->
+      if i <> fi then (name, src)
+      else (name, String.mapi (fun j c -> if j = p then bump c else c) src))
+    srcs
+
+(* Warm after the edit, then uncached on the edited tree. *)
+let edit_replay seed k =
+  let srcs =
+    List.map
+      (fun (name, (g : Gen.t)) -> (name, g.Gen.source))
+      (Gen.generate_files ~seed ~n_files:3 ~funcs_per_file:6 ~bug_rate:0.5)
+  in
+  let sg srcs =
+    Supergraph.build (List.map (fun (name, src) -> Cparse.parse_tunit ~file:name src) srcs)
+  in
+  let exts () =
+    Callout.install_builtins ();
+    List.map (fun n -> (Option.get (Registry.find n)).Registry.e_make ()) annot_checkers
+    @ Metal_compile.load ~file:"rd.metal" sec_reader_src
+  in
+  let ext_keys =
+    Summary_store.ext_keys_of
+      ~options_digest:(Engine.options_digest Engine.default_options)
+      ~sources:(annot_checkers @ [ sec_reader_src ])
+  in
+  let lines (r : Engine.result) = List.map Report.to_string r.Engine.reports in
+  with_temp_dirs 1 (fun dirs ->
+      let store () = Summary_store.create ~dir:(List.hd dirs) ~ext_keys () in
+      ignore (Engine.run ~cache:(store ()) (sg srcs) (exts ()));
+      let edited = constant_edit srcs k in
+      let warm = lines (Engine.run ~cache:(store ()) (sg edited) (exts ())) in
+      (warm, lines (Engine.run (sg edited) (exts ()))))
+
 let suite =
   [
     t "generation is deterministic per seed" `Quick (fun () ->
@@ -287,6 +359,15 @@ let suite =
            | Some mode ->
                QCheck2.Test.fail_reportf "seed %d, budget %d: %s differs from -j2" seed
                  budget mode));
+    QCheck_alcotest.to_alcotest
+      (QCheck2.Test.make
+         ~name:"warm runs after a constant edit replay every annotation" ~count:40
+         QCheck2.Gen.(tup2 (int_range 1 5000) (int_bound 10_000))
+         (fun (seed, k) ->
+           let warm, uncached = edit_replay seed k in
+           warm = uncached
+           || QCheck2.Test.fail_reportf "seed %d, edit %d: warm %d reports, uncached %d" seed
+                k (List.length warm) (List.length uncached)));
     t "bug kinds map to checkers" `Quick (fun () ->
         List.iter
           (fun k ->
